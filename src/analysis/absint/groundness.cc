@@ -303,14 +303,4 @@ std::optional<Mode> GroundnessSummaries::SuccessModeFor(
   return best;
 }
 
-std::vector<Mode> GroundnessSummaries::PatternsFor(const TermStore& store,
-                                                   const PredId& id) const {
-  (void)store;
-  std::vector<Mode> out;
-  for (const auto& [key, ck] : keys) {
-    if (ck.pred == id) out.push_back(ck.pattern);
-  }
-  return out;
-}
-
 }  // namespace prore::analysis::absint

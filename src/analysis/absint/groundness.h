@@ -89,10 +89,6 @@ struct GroundnessSummaries {
   std::optional<Mode> SuccessModeFor(const term::TermStore& store,
                                      const term::PredId& id,
                                      const Mode& call_mode) const;
-
-  /// Analyzed call patterns of `id`, in canonical order.
-  std::vector<Mode> PatternsFor(const term::TermStore& store,
-                                const term::PredId& id) const;
 };
 
 }  // namespace prore::analysis::absint

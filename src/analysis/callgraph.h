@@ -36,7 +36,6 @@ class CallGraph {
   const std::vector<term::PredId>& EntryPoints() const { return entries_; }
 
   /// Predicates involved in recursion: self-recursive or in a cycle.
-  const PredSet& RecursivePreds() const { return recursive_; }
   bool IsRecursive(const term::PredId& id) const {
     return recursive_.count(id) > 0;
   }

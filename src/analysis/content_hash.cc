@@ -44,7 +44,7 @@ uint64_t HashBytes(uint64_t seed, std::string_view bytes) {
 ContentHashes ComputeContentHashes(const term::TermStore& store,
                                    const reader::Program& program,
                                    const DependencyGroups& groups,
-                                   const PredSet* frozen, uint64_t salt) {
+                                   uint64_t salt) {
   ContentHashes out;
 
   // Whole-program context folded into every group: directives (legal-mode
@@ -94,26 +94,33 @@ ContentHashes ComputeContentHashes(const term::TermStore& store,
     for (size_t d : groups.deps[gi]) dep_parts.push_back(out.group_hash[d]);
     std::sort(dep_parts.begin(), dep_parts.end());
     for (uint64_t part : dep_parts) h = HashMix(h, part);
-
-    if (frozen != nullptr && !frozen->empty()) {
-      // Frozen status of members and of the cone's predicates changes the
-      // group's output (their order is pinned); fold the frozen names in.
-      std::vector<std::string> frozen_names;
-      auto collect = [&](const std::vector<term::PredId>& preds) {
-        for (const term::PredId& p : preds) {
-          if (frozen->count(p) > 0) {
-            frozen_names.push_back(reader::PredName(store, p));
-          }
-        }
-      };
-      collect(groups.groups[gi]);
-      for (size_t d : groups.TransitiveDeps(gi)) collect(groups.groups[d]);
-      std::sort(frozen_names.begin(), frozen_names.end());
-      for (const std::string& n : frozen_names) h = HashBytes(h, n);
-    }
     out.group_hash[gi] = h;
   }
   return out;
+}
+
+std::vector<uint64_t> FoldCallerFacts(const term::TermStore& store,
+                                      const DependencyGroups& groups,
+                                      const ContentHashes& hashes,
+                                      const CallerFacts& facts) {
+  std::vector<uint64_t> keys(groups.size());
+  for (size_t gi = 0; gi < groups.size(); ++gi) {
+    std::vector<std::string> context;
+    for (const term::PredId& p : groups.groups[gi]) {
+      auto it = facts.find(p);
+      if (it == facts.end()) continue;
+      context.push_back(reader::PredName(store, p) + "=" + it->second);
+    }
+    std::sort(context.begin(), context.end());
+    uint64_t h = hashes.group_hash[gi];
+    for (const std::string& c : context) h = HashBytes(h, c);
+    std::vector<uint64_t> dep_keys;
+    for (size_t d : groups.deps[gi]) dep_keys.push_back(keys[d]);
+    std::sort(dep_keys.begin(), dep_keys.end());
+    for (uint64_t k : dep_keys) h = HashMix(h, k);
+    keys[gi] = h;
+  }
+  return keys;
 }
 
 }  // namespace prore::analysis

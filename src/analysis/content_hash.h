@@ -2,6 +2,7 @@
 #define PRORE_ANALYSIS_CONTENT_HASH_H_
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -27,10 +28,11 @@ namespace prore::analysis {
 ///  - the directive list and the full defined-predicate name set: legal-
 ///    mode declarations change analysis results anywhere, and the set of
 ///    program names feeds version-name collision avoidance
-///    (ReorderOptions::reserved_preds);
-///  - per group, the frozen predicates among its members and cone: the
-///    cut-freezing property flows caller -> callee, so a caller edit can
-///    change a callee group's output without touching its clauses.
+///    (core::GroupContext::program_preds);
+///  - per group, the caller facts of its members (and, through the
+///    callee hashes, of its cone): cut-freezing and the analyzed call
+///    patterns flow caller -> callee, so a caller edit can change a
+///    callee group's output without touching its clauses.
 struct ContentHashes {
   std::unordered_map<term::PredId, uint64_t, term::PredIdHash> pred_hash;
   /// Parallel to DependencyGroups::groups.
@@ -43,15 +45,26 @@ uint64_t HashMix(uint64_t seed, uint64_t value);
 uint64_t HashBytes(uint64_t seed, std::string_view bytes);
 
 /// Computes the per-predicate and per-group hashes for `program` under
-/// `groups` (its SCC condensation). `frozen` is the whole-program
-/// cut-frozen set (core/restrictions.h FrozenDescendants), may be null.
-/// `salt` is folded into every hash — callers use it to fingerprint the
-/// transform options, so cache entries produced under different options
-/// never collide.
+/// `groups` (its SCC condensation). `salt` is folded into every hash —
+/// callers use it to fingerprint the transform options, so cache entries
+/// produced under different options never collide.
 ContentHashes ComputeContentHashes(const term::TermStore& store,
                                    const reader::Program& program,
                                    const DependencyGroups& groups,
-                                   const PredSet* frozen, uint64_t salt);
+                                   uint64_t salt);
+
+/// Per predicate, a rendering of the whole-program facts that flow
+/// caller -> callee (core/pipeline.cc). Predicates absent have none.
+using CallerFacts =
+    std::unordered_map<term::PredId, std::string, term::PredIdHash>;
+
+/// The cache key of every group: its hash with its members' caller facts
+/// folded in, and its callee groups' keys, so a key covers the facts of
+/// the group's whole cone.
+std::vector<uint64_t> FoldCallerFacts(const term::TermStore& store,
+                                      const DependencyGroups& groups,
+                                      const ContentHashes& hashes,
+                                      const CallerFacts& facts);
 
 }  // namespace prore::analysis
 

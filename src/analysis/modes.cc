@@ -80,6 +80,31 @@ prore::Result<Mode> ModeFromString(const std::string& s) {
   return mode;
 }
 
+std::vector<std::string> ModeQueries(const std::string& pred, const Mode& mode,
+                                     const std::vector<std::string>& universe) {
+  const size_t plus = std::count(mode.begin(), mode.end(), ModeItem::kPlus);
+  std::vector<std::string> goals;
+  if (plus > 0 && universe.empty()) return goals;
+  std::vector<size_t> idx(plus, 0);  // an odometer over the '+' positions
+  while (true) {
+    std::string goal = pred;
+    if (!mode.empty()) {
+      goal += "(";
+      size_t plus_seen = 0;
+      for (size_t i = 0; i < mode.size(); ++i) {
+        if (i > 0) goal += ",";
+        goal += mode[i] == ModeItem::kPlus ? universe[idx[plus_seen++]]
+                                           : prore::StrFormat("V%zu", i);
+      }
+      goal += ")";
+    }
+    goals.push_back(std::move(goal));
+    size_t k = 0;
+    while (k < idx.size() && ++idx[k] == universe.size()) idx[k++] = 0;
+    if (k == idx.size()) return goals;
+  }
+}
+
 bool SatisfiesInput(const Mode& call_mode, const Mode& input) {
   if (call_mode.size() != input.size()) return false;
   for (size_t i = 0; i < input.size(); ++i) {

@@ -32,6 +32,13 @@ std::string ModeString(const Mode& mode);          // e.g. "(+,-,?)"
 std::string ModeSuffix(const Mode& mode);          // e.g. "iu" / "iua"
 prore::Result<Mode> ModeFromString(const std::string& s);  // "(+,-,?)"
 
+/// The goals of a mode workload (the paper's Table II methodology): one
+/// `pred(...)` per combination of `universe` constants over the '+'
+/// positions — first position fastest — with `V<i>` at every other
+/// position. Empty when a '+' position has no constant to take.
+std::vector<std::string> ModeQueries(const std::string& pred, const Mode& mode,
+                                     const std::vector<std::string>& universe);
+
 /// A legal input mode paired with the output mode a successful call in
 /// that input mode guarantees (§V-C: "input and output modes as pairs").
 struct ModePair {

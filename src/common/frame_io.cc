@@ -97,26 +97,6 @@ FrameEvent ReadExact(int fd, char* buf, size_t len, size_t* got,
 
 }  // namespace
 
-const char* FrameEventName(FrameEvent event) {
-  switch (event) {
-    case FrameEvent::kFrame:
-      return "frame";
-    case FrameEvent::kEof:
-      return "eof";
-    case FrameEvent::kTruncated:
-      return "truncated";
-    case FrameEvent::kOversized:
-      return "oversized";
-    case FrameEvent::kTimeout:
-      return "timeout";
-    case FrameEvent::kCancelled:
-      return "cancelled";
-    case FrameEvent::kError:
-      return "error";
-  }
-  return "unknown";
-}
-
 FrameReadResult ReadFrame(int fd, const FrameIoOptions& options) {
   FrameReadResult out;
 

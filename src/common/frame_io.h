@@ -51,9 +51,6 @@ enum class FrameEvent {
   kError,      ///< errno-level read failure (detail has strerror)
 };
 
-/// Stable lowercase name, e.g. "oversized".
-const char* FrameEventName(FrameEvent event);
-
 struct FrameReadResult {
   FrameEvent event = FrameEvent::kError;
   std::string payload;  ///< kFrame only

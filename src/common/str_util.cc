@@ -14,22 +14,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep) {
   return out;
 }
 
-std::vector<std::string> Split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  size_t start = 0;
-  for (size_t i = 0; i <= s.size(); ++i) {
-    if (i == s.size() || s[i] == sep) {
-      out.emplace_back(s.substr(start, i - start));
-      start = i + 1;
-    }
-  }
-  return out;
-}
-
-bool StartsWith(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
-}
-
 std::string StrFormat(const char* fmt, ...) {
   va_list ap;
   va_start(ap, fmt);

@@ -10,12 +10,6 @@ namespace prore {
 /// Joins `parts` with `sep` ("a", "b" -> "a,b").
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Splits `s` on `sep`, keeping empty fields.
-std::vector<std::string> Split(std::string_view s, char sep);
-
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 

@@ -1,5 +1,7 @@
 #include "core/analysis_cache.h"
 
+#include "core/pipeline.h"
+
 #include <utility>
 
 namespace prore::core {
@@ -43,6 +45,21 @@ void AnalysisCache::Invalidate(uint64_t key) {
   ++stats_.invalidations;
   lru_.erase(it->second.lru_it);
   entries_.erase(it);
+}
+
+std::optional<std::vector<uint64_t>> AnalysisCache::LookupGroupKeys(
+    uint64_t program) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = group_keys_.find(program);
+  if (it == group_keys_.end()) return std::nullopt;
+  return it->second;
+}
+
+void AnalysisCache::InsertGroupKeys(uint64_t program,
+                                    std::vector<uint64_t> keys) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (group_keys_.size() >= max_entries_) group_keys_.clear();
+  group_keys_[program] = std::move(keys);
 }
 
 bool AnalysisCache::CorruptForTest(

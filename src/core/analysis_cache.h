@@ -6,69 +6,14 @@
 #include <list>
 #include <memory>
 #include <mutex>
-#include <string>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "lint/diagnostic.h"
-
 namespace prore::core {
 
-/// One cached per-dependency-group transform result, keyed by the group's
-/// content hash (analysis/content_hash.h). Everything is stored as plain
-/// values — rendered clause text, name/arity strings, mode strings — so an
-/// entry is valid across requests whose TermStores (and hence TermRefs and
-/// Symbol ids) differ. The canonical writer/parser round-trip is a fixed
-/// point (variables re-render under their parsed names), which is what
-/// makes a cache-hit merge bit-identical to the cold run that produced the
-/// entry.
-///
-/// Only clean groups are cached: a group that degraded, tripped a
-/// watchdog, or disabled a stage recomputes every time — caching a
-/// transient fault would pin it.
-struct GroupCacheEntry {
-  /// Rendered clauses of the group's owned predicates (members plus their
-  /// specialized versions and dispatchers), in merge emission order.
-  std::string program_text;
-
-  /// Per-(pred, mode) reorderer reports, serialized by name.
-  struct Report {
-    std::string pred_name;  ///< bare name, no arity suffix
-    uint32_t arity = 0;
-    std::string mode;  ///< ModeString form, e.g. "(+,-)"
-    std::string version_name;
-    bool clauses_changed = false;
-    bool goals_changed = false;
-    double predicted_original_cost = 0.0;
-    double predicted_new_cost = 0.0;
-  };
-  std::vector<Report> reports;
-
-  /// Per-predicate pipeline outcomes for the owned members.
-  struct Outcome {
-    std::string pred_name;
-    uint32_t arity = 0;
-    int level = 0;  ///< LadderLevel as int
-    int attempts = 1;
-    int retries = 0;
-    std::string fault_class;
-    std::vector<std::string> triggers;
-    bool clauses_changed = false;
-    bool goals_changed = false;
-  };
-  std::vector<Outcome> outcomes;
-
-  /// Diagnostics attributed to owned predicates (notes/warnings only —
-  /// error findings would have quarantined the group, which is not cached).
-  std::vector<lint::Diagnostic> diagnostics;
-
-  /// Per-group absint dump, without the "== group N ==" header (group
-  /// numbering belongs to the current run, not the entry).
-  std::string absint_report;
-
-  /// Whole-group pipeline attempts recorded by the producing run.
-  int runs = 1;
-};
+/// One cached per-dependency-group transform result (core/pipeline.h).
+struct GroupCacheEntry;
 
 /// A bounded, thread-safe, LRU content-hash cache of per-group transform
 /// results. Lookups and insertions are cheap (one mutex, hash map + LRU
@@ -96,6 +41,13 @@ class AnalysisCache {
 
   /// Drops the entry for `key` (validator-rejected hit). No-op if absent.
   void Invalidate(uint64_t key);
+
+  /// The group keys a run derived for a program, by the program's content
+  /// hash. The keys fold in whole-program analyses (core/pipeline.cc), so
+  /// a program seen before is keyed without re-running them. Kept apart
+  /// from the entries and their stats; dropped wholesale when full.
+  std::optional<std::vector<uint64_t>> LookupGroupKeys(uint64_t program);
+  void InsertGroupKeys(uint64_t program, std::vector<uint64_t> keys);
 
   /// Test hook: applies `mutate` to a private copy of the entry for `key`
   /// and stores the mutated copy, simulating corruption. Returns false if
@@ -128,6 +80,7 @@ class AnalysisCache {
   size_t max_entries_;
   std::unordered_map<uint64_t, Slot> entries_;
   std::list<uint64_t> lru_;  ///< front = most recent
+  std::unordered_map<uint64_t, std::vector<uint64_t>> group_keys_;
   Stats stats_;
 };
 

@@ -72,43 +72,12 @@ prore::Result<ComparisonResult> Evaluator::CompareMode(
     return prore::Status::InvalidArgument(
         "mode string arity does not match predicate arity");
   }
-  std::vector<size_t> plus_positions;
-  for (size_t i = 0; i < m.size(); ++i) {
-    if (m[i] == analysis::ModeItem::kPlus) plus_positions.push_back(i);
-  }
-  if (!plus_positions.empty() && universe.empty()) {
+  if (universe.empty() &&
+      std::count(m.begin(), m.end(), analysis::ModeItem::kPlus) > 0) {
     return prore::Status::InvalidArgument(
         "CompareMode: '+' positions require a non-empty universe");
   }
-  // Every combination of universe constants over the '+' positions.
-  std::vector<std::string> goals;
-  std::vector<size_t> idx(plus_positions.size(), 0);
-  while (true) {
-    std::string goal = name;
-    if (arity > 0) {
-      goal += "(";
-      size_t plus_seen = 0;
-      for (uint32_t i = 0; i < arity; ++i) {
-        if (i > 0) goal += ",";
-        if (m[i] == analysis::ModeItem::kPlus) {
-          goal += universe[idx[plus_seen]];
-          ++plus_seen;
-        } else {
-          goal += prore::StrFormat("V%u", i);
-        }
-      }
-      goal += ")";
-    }
-    goals.push_back(goal);
-    // Advance the odometer.
-    size_t k = 0;
-    for (; k < idx.size(); ++k) {
-      if (++idx[k] < universe.size()) break;
-      idx[k] = 0;
-    }
-    if (idx.empty() || k == idx.size()) break;
-  }
-  return CompareQueries(goals);
+  return CompareQueries(analysis::ModeQueries(name, m, universe));
 }
 
 }  // namespace prore::core

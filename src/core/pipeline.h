@@ -3,6 +3,7 @@
 
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/cancellation.h"
@@ -39,20 +40,13 @@ const char* LadderLevelName(LadderLevel level);
 
 struct PipelineOptions {
   ReorderOptions reorder;
-  /// Parallelism over SCC dependency groups. 0 = the classic whole-program
-  /// pipeline (one Reorderer over everything, callers priced against their
-  /// already-reordered callees). N >= 1 = the sharded pipeline: the call
-  /// graph is condensed into dependency groups (analysis::DependencyGroups)
-  /// and each group is transformed independently on a pool of N worker
-  /// threads, against a private copy of its dependency cone with the cone
-  /// pinned to identity. Group construction and the merge are fully
-  /// deterministic, so --jobs=N output is bit-identical to --jobs=1 (N only
-  /// changes wall-clock). jobs=1 runs the same sharded code path inline.
+  /// Worker threads; 0 and 1 both mean none. The output does not depend
+  /// on it: with workers (or a cache) the call graph is condensed into
+  /// dependency groups (analysis::DependencyGroups), each transformed by
+  /// its own task once its callee groups have published their summaries
+  /// (CalleeSummary), and the groups' outputs merged into the program one
+  /// whole-program run emits, byte for byte.
   size_t jobs = 0;
-  /// Predicates that enter the degradation ladder at kIdentity and stay
-  /// there: emitted verbatim, never blamed, calls to them never renamed.
-  /// The sharded pipeline pins each group's dependency cone this way.
-  analysis::PredSet pinned_identity;
   /// Run the unfolding pre-pass (prore --unfold).
   bool unfold = false;
   UnfoldOptions unfold_options;
@@ -89,12 +83,10 @@ struct PipelineOptions {
   /// Content-addressed reuse of per-group transform results, keyed by the
   /// group's content hash over the SCC condensation (clause hashes plus
   /// callee-group hashes; analysis/content_hash.h). Null = no caching.
-  /// Setting a cache forces the sharded path even when jobs == 0 (the
-  /// classic whole-program pipeline prices callers against reordered
-  /// callees and is not group-decomposable). Hits are re-validated with
-  /// the PL100-PL103 checks before being trusted; a failed validation
-  /// invalidates the entry and recomputes. Only clean (non-degraded)
-  /// groups are inserted.
+  /// Hits are re-validated with the PL100-PL103 checks before being
+  /// trusted; a failed validation invalidates the entry and recomputes.
+  /// Only groups whose result reproduces, over callee groups whose results
+  /// reproduce, are inserted.
   AnalysisCache* cache = nullptr;
   /// Salt folded into every content hash; callers fingerprint the
   /// transform options here so entries produced under different options
@@ -172,6 +164,36 @@ struct PipelineReport {
   std::string ToJson() const;
 };
 
+/// One cached per-dependency-group transform result, keyed by the group's
+/// content hash (analysis/content_hash.h): what the producing run had,
+/// minus what is specific to its TermStore — clauses are kept as rendered
+/// text, and every PredId travels with its symbol's name, re-interned on
+/// replay. The writer/parser round-trip is a fixed point (every source
+/// variable carries its name), which is what makes a cache-hit merge
+/// bit-identical to the cold run that produced the entry.
+///
+/// Only results that reproduce, over callee groups whose results
+/// reproduce, are cached: a group that tripped a watchdog, hit another
+/// transient fault, or fell back globally recomputes every time — caching
+/// a transient fault would pin it. The key covers the summary too: it
+/// folds in the callee groups' keys and the members' whole-program caller
+/// facts.
+struct GroupCacheEntry {
+  template <typename T>
+  using Named = std::vector<std::pair<std::string, T>>;
+  /// The group's own predicates, versions and dispatchers, in program
+  /// order.
+  std::string program_text;
+  Named<PredModeReport> reports;
+  Named<PredOutcome> outcomes;
+  /// The group's CalleeSummary.
+  Named<lint::VersionInfo> versions;
+  std::vector<std::pair<std::string, cost::PredModeStats>> stats;
+  /// Notes and warnings (error findings quarantine, and are not cached).
+  std::vector<lint::Diagnostic> diagnostics;
+  int runs = 1;  ///< whole-group pipeline attempts
+};
+
 struct PipelineResult {
   reader::Program program;
   /// Reorderer reports from the final (successful) run.
@@ -179,10 +201,12 @@ struct PipelineResult {
   /// Diagnostics from the final run (notes and warnings; error-severity
   /// findings have been consumed as quarantine triggers by then).
   std::vector<lint::Diagnostic> diagnostics;
-  /// DumpAbsint text from the final run (sharded: per-group sections, in
-  /// deterministic merge order). Empty when absint was off or disabled.
+  /// DumpAbsint text from the final run. Empty when absint was off or
+  /// disabled, or when every group replayed from the cache.
   std::string absint_report;
   PipelineReport report;
+  /// What the run publishes for its predicates (a group's callers read it).
+  CalleeSummary summary;
 };
 
 /// The self-healing optimization pipeline. Runs unfold/factor/reorder under
@@ -201,23 +225,28 @@ class GuardedPipeline {
   prore::Result<PipelineResult> Run(const reader::Program& original);
 
  private:
-  /// The classic single-threaded whole-program pipeline (jobs == 0).
-  prore::Result<PipelineResult> RunWhole(const reader::Program& original);
-  /// The dependency-group-sharded pipeline (jobs >= 1): independent groups
-  /// transformed concurrently, each inside its own fault boundary with its
-  /// own watchdog deadlines, merged deterministically.
+  /// One Reorderer over `original` under the degradation ladder. With a
+  /// `group`, `original` is one dependency group plus its callee cone,
+  /// and only the group's own predicates are built (Reorderer::Run).
+  prore::Result<PipelineResult> RunWhole(const reader::Program& original,
+                                         const GroupContext* group);
+  /// Group by group: the whole-program analyses run once, then each
+  /// dependency group runs RunWhole over itself plus its callee cone once
+  /// the cone's summaries are published, on the worker pool, with its own
+  /// fault boundary and watchdog deadlines; cache hits replay. The merge
+  /// restores the whole-program order.
   prore::Result<PipelineResult> RunSharded(const reader::Program& original);
-
-  /// The guaranteed bottom: a verbatim copy of the program.
-  reader::Program CopyProgram(const reader::Program& original) const;
 
   /// Parses and self-verifies one cached group entry against the owned
   /// members' original clauses (PL100-PL103 validator, minus the checks
-  /// that need the producing run's analyses). On success the parsed
-  /// fragment (terms interned in the main store) lands in *out_frag.
+  /// that need the producing run's analyses), with the callee groups'
+  /// published versions to resolve renamed cross-group calls. On success
+  /// the parsed fragment (terms interned in the main store) lands in
+  /// *out_frag.
   bool TryAdoptCachedGroup(const GroupCacheEntry& entry,
                            const std::vector<term::PredId>& members,
                            const reader::Program& original,
+                           const std::vector<const CalleeSummary*>& callees,
                            reader::Program* out_frag);
 
   term::TermStore* store_;

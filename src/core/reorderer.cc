@@ -8,6 +8,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <unordered_set>
 
 #include "analysis/absint/absint.h"
 #include "analysis/body.h"
@@ -39,6 +40,35 @@ std::string Reorderer::VersionName(const TermStore& store, const PredId& id,
   return store.symbols().Name(id.name) + "_" + analysis::ModeSuffix(mode);
 }
 
+prore::Result<CallPatterns> AnalyzeCallPatterns(
+    const TermStore& store, const reader::Program& program,
+    const analysis::CallGraph& graph, const analysis::Declarations& decls,
+    const ReorderOptions& options) {
+  CallPatterns out;
+  analysis::InferenceOptions inference = options.inference;
+  inference.exec = options.exec;
+  PRORE_ASSIGN_OR_RETURN(
+      out.modes,
+      analysis::InferModes(store, program, graph, decls, inference));
+  if (!options.absint) return out;
+  analysis::absint::AbsintOptions ao;
+  ao.watchdog = options.absint_watchdog;
+  ao.exec = options.exec;
+  PRORE_ASSIGN_OR_RETURN(
+      auto absint, analysis::absint::RunAbsint(store, program, graph, decls,
+                                               &out.modes, ao));
+  out.absint =
+      std::make_unique<analysis::absint::AbsintResult>(std::move(absint));
+  // Fold the groundness success patterns into the guarantee table before
+  // the oracle captures it: '?' slots the local fixpoint left behind can
+  // become '+'/'-' here, which admits orderings legality would otherwise
+  // reject. legal_table is left alone — absint proves outputs, not that
+  // an input mode is legal for a recursive predicate.
+  analysis::absint::TightenModes(store, out.absint->groundness,
+                                 &out.modes.table);
+  return out;
+}
+
 namespace {
 
 /// Weakens '?' to '-' : safe (legality is upward-closed in instantiation)
@@ -54,8 +84,8 @@ Mode Weaken(const Mode& mode) {
 class Pipeline {
  public:
   Pipeline(TermStore* store, const reader::Program& original,
-           const ReorderOptions& options)
-      : store_(store), original_(original), options_(options) {}
+           const ReorderOptions& options, const GroupContext* group)
+      : store_(store), original_(original), options_(options), group_(group) {}
 
   prore::Result<ReorderResult> Run();
 
@@ -79,6 +109,15 @@ class Pipeline {
                              Version* out);
 
   bool AllowReorder(const PredId& pred) const;
+  /// Owned by an earlier run (a callee summary): analyzed, never built.
+  bool External(const PredId& pred) const {
+    return external_.count(pred) > 0;
+  }
+  CalleeSummary Publish() const;
+  const std::vector<const CalleeSummary*>& Callees() const {
+    static const std::vector<const CalleeSummary*> kNone;
+    return group_ != nullptr ? group_->callees : kNone;
+  }
 
   // Phase A: reorder a body tree (no renaming).
   prore::Result<std::unique_ptr<BodyNode>> ReorderNode(const BodyNode& node,
@@ -113,13 +152,18 @@ class Pipeline {
   TermStore* store_;
   const reader::Program& original_;
   ReorderOptions options_;
+  const GroupContext* group_;  ///< null: `original_` is the whole program
+  /// External predicate -> its published versions.
+  std::unordered_map<PredId, std::vector<const lint::VersionInfo*>,
+                     term::PredIdHash>
+      external_;
 
   analysis::Declarations decls_;
   analysis::CallGraph graph_;
   analysis::FixityResult fixity_;
   analysis::PredSet frozen_;
-  analysis::ModeAnalysis modes_;
-  std::unique_ptr<analysis::absint::AbsintResult> absint_;
+  CallPatterns inferred_;  ///< when the run analyzes its own program
+  const CallPatterns* patterns_ = &inferred_;
   std::unique_ptr<analysis::LegalityOracle> oracle_;
   std::unique_ptr<cost::CostModel> costs_;
   std::unique_ptr<GoalOrderSearch> search_;
@@ -143,37 +187,32 @@ prore::Status Pipeline::Setup() {
                          analysis::AnalyzeFixity(*store_, original_, graph_));
   PRORE_ASSIGN_OR_RETURN(frozen_,
                          FrozenDescendants(*store_, original_, graph_));
-  frozen_.insert(options_.extra_frozen.begin(), options_.extra_frozen.end());
-  analysis::InferenceOptions inference_opts = options_.inference;
-  inference_opts.exec = options_.exec;
-  PRORE_ASSIGN_OR_RETURN(
-      modes_, analysis::InferModes(*store_, original_, graph_, decls_,
-                                   inference_opts));
-  if (options_.absint) {
-    analysis::absint::AbsintOptions ao;
-    ao.watchdog = options_.absint_watchdog;
-    ao.exec = options_.exec;
-    PRORE_ASSIGN_OR_RETURN(
-        auto absint, analysis::absint::RunAbsint(*store_, original_, graph_,
-                                                 decls_, &modes_, ao));
-    absint_ =
-        std::make_unique<analysis::absint::AbsintResult>(std::move(absint));
-    // Fold the groundness success patterns into the guarantee table before
-    // the oracle captures it: '?' slots the local fixpoint left behind can
-    // become '+'/'-' here, which admits orderings legality would otherwise
-    // reject. legal_table is left alone — absint proves outputs, not that
-    // an input mode is legal for a recursive predicate.
-    analysis::absint::TightenModes(*store_, absint_->groundness,
-                                   &modes_.table);
+  if (group_ != nullptr) {
+    // Facts that flow caller -> callee come from the whole program: the
+    // subprogram cannot see how outside callers call its predicates.
+    frozen_.insert(group_->frozen->begin(), group_->frozen->end());
+    patterns_ = group_->patterns;
+  } else {
+    PRORE_ASSIGN_OR_RETURN(inferred_,
+                           AnalyzeCallPatterns(*store_, original_, graph_,
+                                               decls_, options_));
   }
-  oracle_ = std::make_unique<analysis::LegalityOracle>(store_, &original_,
-                                                       &graph_, &modes_);
+  oracle_ = std::make_unique<analysis::LegalityOracle>(
+      store_, &original_, &graph_, &patterns_->modes);
   PRORE_RETURN_IF_ERROR(analysis::RefineSemifixity(
       *store_, original_, graph_, oracle_.get(), &fixity_));
   costs_ = std::make_unique<cost::CostModel>(store_, &original_, &graph_,
                                              &decls_, oracle_.get());
-  if (absint_ != nullptr) costs_->SetDeterminism(&absint_->determinism);
+  if (patterns_->absint != nullptr) {
+    costs_->SetDeterminism(&patterns_->absint->determinism);
+  }
   if (options_.profile != nullptr) costs_->SetEmpirical(options_.profile);
+  for (const CalleeSummary* callee : Callees()) {
+    costs_->Preload(callee->stats);
+    for (const lint::VersionInfo& v : callee->versions) {
+      external_[v.pred].push_back(&v);
+    }
+  }
   costs_->ArmWatchdog(options_.cost_watchdog, options_.exec);
   search_ = std::make_unique<GoalOrderSearch>(store_, costs_.get(), &fixity_,
                                               options_.goal_search);
@@ -207,7 +246,8 @@ std::string Pipeline::EnsureVersion(const PredId& pred, const Mode& mode) {
   auto taken = [&](const std::string& n) {
     PredId id{store_->symbols().Intern(n), pred.arity};
     if (id == pred) return false;
-    return original_.Has(id) || options_.reserved_preds.count(id) > 0;
+    return original_.Has(id) ||
+           (group_ != nullptr && group_->program_preds->count(id) > 0);
   };
   while (taken(name)) name += "_v";
   std::string key = Key(pred, mode);
@@ -392,7 +432,14 @@ TermRef Pipeline::RenameGoal(TermRef goal, const AbstractEnv& env) {
     // dispatcher, whose run-time var tests pick a safe version (§V-D).
     return goal;
   }
-  std::string name = EnsureVersion(id, mode);
+  std::string name = store_->symbols().Name(id.name);
+  if (auto it = external_.find(id); it != external_.end()) {
+    for (const lint::VersionInfo* v : it->second) {
+      if (v->mode == mode) name = v->version_name;
+    }
+  } else {
+    name = EnsureVersion(id, mode);
+  }
   if (name == store_->symbols().Name(id.name)) return goal;
   term::Symbol sym = store_->symbols().Intern(name);
   if (store_->arity(goal) == 0) return store_->MakeAtom(sym);
@@ -785,9 +832,18 @@ void Pipeline::ComputeAliases() {
         reader::Clause resolved = clause;
         resolved.body = RewriteAliases(clause.body);
         std::string t = reader::WriteClause(*store_, resolved, wopts);
-        // Normalize self-references.
-        size_t pos;
-        while ((pos = t.find(v.name)) != std::string::npos) {
+        // Normalize self-references: whole names only (male_u inside
+        // female_u is not one).
+        auto ident = [](char c) {
+          return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+        };
+        for (size_t pos = t.find(v.name); pos != std::string::npos;
+             pos = t.find(v.name, pos + 1)) {
+          const size_t end = pos + v.name.size();
+          if ((pos > 0 && ident(t[pos - 1])) ||
+              (end < t.size() && ident(t[end]))) {
+            continue;
+          }
           t.replace(pos, v.name.size(), "$SELF");
         }
         text += t;
@@ -998,6 +1054,7 @@ prore::Status Pipeline::EmitDispatcher(const PredId& pred,
 prore::Result<reader::Program> Pipeline::Assemble() {
   reader::Program out;
   for (const PredId& pred : original_.pred_order()) {
+    if (External(pred)) continue;
     auto it = versions_of_.find(pred);
     if (it == versions_of_.end()) {
       // Untouched predicate (shouldn't happen; defensive copy).
@@ -1030,11 +1087,28 @@ prore::Result<reader::Program> Pipeline::Assemble() {
   return out;
 }
 
+CalleeSummary Pipeline::Publish() const {
+  CalleeSummary out;
+  std::unordered_set<std::string> owned;  // "name/arity", the memo prefix
+  for (const PredModeReport& r : reports_) {
+    out.versions.push_back(
+        lint::VersionInfo{r.pred, r.mode, ResolveAlias(r.version_name)});
+    owned.insert(reader::PredName(*store_, r.pred));
+  }
+  for (const auto& [key, stats] : costs_->memo()) {
+    if (owned.count(key.substr(0, key.rfind(':'))) > 0) {
+      out.stats.emplace_back(key, stats);
+    }
+  }
+  return out;
+}
+
 prore::Result<ReorderResult> Pipeline::Run() {
   PRORE_RETURN_IF_ERROR(Setup());
 
   // Seed versions.
   for (const PredId& pred : original_.pred_order()) {
+    if (External(pred)) continue;
     if (!options_.specialize_modes || pred.arity == 0 ||
         pred.arity > options_.max_dispatch_arity ||
         options_.identity_preds.count(pred) > 0 ||
@@ -1072,18 +1146,34 @@ prore::Result<ReorderResult> Pipeline::Run() {
   PRORE_ASSIGN_OR_RETURN(result.program, Assemble());
 
   if (options_.validate_output) {
+    // Only what this run emits is checked, against its own predicates'
+    // original clauses; calls into external predicates resolve through
+    // the callees' published versions.
+    reader::Program owned;
+    analysis::PredSet called;
     lint::ReorderCheckInput check;
-    check.original = &original_;
+    check.original = external_.empty() ? &original_ : &owned;
     check.transformed = &result.program;
     for (const PredModeReport& report : reports_) {
       check.versions.push_back(
           lint::VersionInfo{report.pred, report.mode, report.version_name});
     }
-    check.modes = &modes_;
+    check.modes = &patterns_->modes;
     check.oracle = oracle_.get();
     check.fixity = &fixity_;
     for (const PredId& pred : original_.pred_order()) {
+      if (External(pred)) continue;
       if (!AllowReorder(pred)) check.no_reorder.insert(pred);
+      if (external_.empty()) continue;
+      for (const reader::Clause& clause : original_.ClausesOf(pred)) {
+        owned.AddClause(*store_, clause);
+      }
+      for (const PredId& callee : graph_.Callees(pred)) called.insert(callee);
+    }
+    for (const CalleeSummary* callee : Callees()) {
+      for (const lint::VersionInfo& v : callee->versions) {
+        if (called.count(v.pred) > 0) check.versions.push_back(v);
+      }
     }
     std::vector<lint::Diagnostic> findings =
         lint::ValidateReorder(store_, check);
@@ -1092,22 +1182,23 @@ prore::Result<ReorderResult> Pipeline::Run() {
                         std::make_move_iterator(findings.end()));
   }
 
+  result.summary = Publish();
   result.reports = std::move(reports_);
-  result.modes = std::move(modes_);
   result.diagnostics = std::move(diagnostics_);
-  if (absint_ != nullptr) {
-    result.absint_report = analysis::absint::DumpAbsint(*absint_);
+  if (group_ == nullptr && inferred_.absint != nullptr) {
+    result.absint_report = analysis::absint::DumpAbsint(*inferred_.absint);
   }
   return result;
 }
 
 }  // namespace
 
-prore::Result<ReorderResult> Reorderer::Run(const reader::Program& original) {
+prore::Result<ReorderResult> Reorderer::Run(const reader::Program& original,
+                                            const GroupContext* group) {
   // A cancelled or past-deadline context never starts new work; mid-run
   // interruption happens inside the analyses via their watchdogs.
   PRORE_RETURN_IF_ERROR(options_.exec.Check());
-  Pipeline pipeline(store_, original, options_);
+  Pipeline pipeline(store_, original, options_, group);
   return pipeline.Run();
 }
 

@@ -2,9 +2,12 @@
 #define PRORE_CORE_REORDERER_H_
 
 #include <functional>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "analysis/absint/absint.h"
 #include "analysis/callgraph.h"
 #include "analysis/mode_inference.h"
 #include "analysis/modes.h"
@@ -12,7 +15,9 @@
 #include "common/watchdog.h"
 #include "core/fault.h"
 #include "core/goal_order.h"
+#include "cost/cost_model.h"
 #include "lint/diagnostic.h"
+#include "lint/validate.h"
 #include "reader/program.h"
 #include "term/store.h"
 
@@ -75,19 +80,6 @@ struct ReorderOptions {
   /// clauses bit-for-bit under the original name, never specialized, and
   /// calls to them anywhere are never renamed.
   analysis::PredSet identity_preds;
-  /// Additional predicates to treat as cut-frozen, unioned with the
-  /// FrozenDescendants analysis of the input program. The sharded pipeline
-  /// computes frozen descendants over the WHOLE program and injects them
-  /// here, because the property flows caller -> callee: a per-group
-  /// subprogram cannot see that some outside caller guards a group member
-  /// with a cut.
-  analysis::PredSet extra_frozen;
-  /// Predicate identities (by name/arity) that exist elsewhere in the full
-  /// program even though this Run's input does not define them. Version
-  /// naming probes these in addition to the input program, so per-group
-  /// shards never mint a version name that collides with another group's
-  /// predicate.
-  analysis::PredSet reserved_preds;
   /// Invoked when building a predicate's version fails, just before the
   /// error propagates out of Run — the guarded pipeline uses it to learn
   /// which predicate to quarantine.
@@ -125,10 +117,47 @@ struct PredModeReport {
   double predicted_new_cost = 0.0;
 };
 
+/// What a finished run publishes about the predicates it owns, for runs
+/// over their callers (paper Fig. 3's upward flow, one dependency group at
+/// a time): the version each calling mode reaches once aliases are
+/// resolved, and every cost-model statistic the run settled for them —
+/// the reordered versions' stats plus whatever it memoized while building
+/// them. An identity predicate is published under its original name.
+struct CalleeSummary {
+  std::vector<lint::VersionInfo> versions;  ///< in build order
+  /// Keyed like the cost model's memo: "name/arity:mode-suffix".
+  std::vector<std::pair<std::string, cost::PredModeStats>> stats;
+};
+
+/// The analyses whose facts flow caller -> callee, over a whole program:
+/// mode inference, then (with ReorderOptions::absint) absint, its
+/// groundness folded into the mode table.
+struct CallPatterns {
+  analysis::ModeAnalysis modes;
+  std::unique_ptr<analysis::absint::AbsintResult> absint;  ///< null if off
+};
+prore::Result<CallPatterns> AnalyzeCallPatterns(
+    const term::TermStore& store, const reader::Program& program,
+    const analysis::CallGraph& graph, const analysis::Declarations& decls,
+    const ReorderOptions& options);
+
+/// What a run over one dependency group and its callee cone takes from the
+/// whole program (core/pipeline.h). Cut-freezing, the inferred call
+/// patterns and what absint learned under them flow caller -> callee, so
+/// the subprogram cannot derive them; version names must be free program-
+/// wide; and the callee groups' summaries stand in for their transforms.
+/// All pointees are shared read-only between concurrent group runs.
+struct GroupContext {
+  const std::vector<term::PredId>* members = nullptr;
+  const analysis::PredSet* frozen = nullptr;
+  const analysis::PredSet* program_preds = nullptr;
+  const CallPatterns* patterns = nullptr;
+  std::vector<const CalleeSummary*> callees;  ///< the whole callee cone
+};
+
 struct ReorderResult {
   reader::Program program;  ///< transformed program (versions + dispatchers)
   std::vector<PredModeReport> reports;
-  analysis::ModeAnalysis modes;  ///< the inference results used
   /// Structured diagnostics: the reorderer's own notes (PL21x) plus, when
   /// ReorderOptions::validate_output is on, the reorder validator's
   /// findings (PL1xx). An error-severity entry means the transformation
@@ -136,6 +165,8 @@ struct ReorderResult {
   std::vector<lint::Diagnostic> diagnostics;
   /// DumpAbsint text when ReorderOptions::absint ran (for --report).
   std::string absint_report;
+  /// The run's own predicates, as its callers' runs see them.
+  CalleeSummary summary;
 };
 
 /// The reordering system: ties together the restriction analyses (§IV),
@@ -151,7 +182,15 @@ class Reorderer {
   /// (same answer sets, possibly different order); queries must go through
   /// the original predicate names, which become dispatchers when
   /// specialization is on.
-  prore::Result<ReorderResult> Run(const reader::Program& original);
+  ///
+  /// With a `group`, `original` is one dependency group plus its callee
+  /// cone, analyzed under the whole program's facts. The predicates of
+  /// `group->callees` were transformed by earlier runs: they are neither
+  /// built nor emitted; calls to them go to the published versions, and
+  /// the cost model prices them with the published statistics — so the
+  /// output equals that part of one run over the whole program.
+  prore::Result<ReorderResult> Run(const reader::Program& original,
+                                   const GroupContext* group = nullptr);
 
   /// Name of the specialized version of `id` for `mode`, e.g. aunt_iu.
   static std::string VersionName(const term::TermStore& store,

@@ -5,6 +5,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "analysis/absint/determinism.h"
@@ -110,6 +111,17 @@ class CostModel {
   /// Pins the stats of (id, mode), e.g. after the predicate was reordered.
   void SetOverride(const term::PredId& id, const analysis::Mode& mode,
                    const PredModeStats& stats);
+
+  /// Every memoized statistic, keyed "name/arity:mode-suffix".
+  const std::unordered_map<std::string, PredModeStats>& memo() const {
+    return memo_;
+  }
+  /// Seeds the memo with statistics settled by another model over the
+  /// same predicates (a callee group's summary, core/reorderer.h).
+  void Preload(
+      const std::vector<std::pair<std::string, PredModeStats>>& stats) {
+    memo_.insert(stats.begin(), stats.end());
+  }
 
   /// Feeds determinism/cardinality bounds into every subsequent StatsFor
   /// and SetOverride: a provably failing (pred, mode) gets success_prob and

@@ -868,13 +868,4 @@ BuiltinFn LookupBuiltin(std::string_view name, uint32_t arity) {
   return it == Registry().end() ? nullptr : it->second;
 }
 
-std::vector<std::pair<std::string, uint32_t>> AllBuiltins() {
-  std::vector<std::pair<std::string, uint32_t>> out;
-  out.reserve(Registry().size());
-  for (const auto& [key, fn] : Registry()) {
-    out.emplace_back(key.name, key.arity);
-  }
-  return out;
-}
-
 }  // namespace prore::engine

@@ -24,10 +24,6 @@ using BuiltinFn = prore::Status (*)(Machine* machine, term::TermRef goal,
 /// Machine itself and are not in this registry.
 BuiltinFn LookupBuiltin(std::string_view name, uint32_t arity);
 
-/// Names of all registered built-ins, as name/arity pairs (for the analyses,
-/// which must treat built-ins as leaves with known modes/costs).
-std::vector<std::pair<std::string, uint32_t>> AllBuiltins();
-
 }  // namespace prore::engine
 
 #endif  // PRORE_ENGINE_BUILTINS_H_

@@ -110,11 +110,6 @@ class ProfileCollector {
 
   bool empty() const { return preds_.empty() && builtins_.empty(); }
 
-  void Clear() {
-    preds_.clear();
-    builtins_.clear();
-  }
-
  private:
   PredCounts& Pred(const term::PredId& id) { return preds_[id]; }
 

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <tuple>
 
+#include "common/json.h"
 #include "common/str_util.h"
 
 namespace prore::lint {
@@ -38,61 +39,19 @@ std::string Diagnostic::ToString() const {
   return out;
 }
 
-namespace {
-
-void AppendJsonString(std::string* out, std::string_view s) {
-  out->push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      case '\t':
-        *out += "\\t";
-        break;
-      case '\r':
-        *out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          *out += prore::StrFormat("\\u%04x", c);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-}  // namespace
-
 std::string Diagnostic::ToJson() const {
   std::string out = "{\"code\":";
-  AppendJsonString(&out, code);
+  prore::AppendJsonEscaped(&out, code);
   out += ",\"severity\":";
-  AppendJsonString(&out, SeverityName(severity));
+  prore::AppendJsonEscaped(&out, SeverityName(severity));
   out += prore::StrFormat(",\"line\":%d,\"column\":%d", span.line,
                           span.column);
   out += ",\"pred\":";
-  AppendJsonString(&out, pred);
+  prore::AppendJsonEscaped(&out, pred);
   out += ",\"message\":";
-  AppendJsonString(&out, message);
+  prore::AppendJsonEscaped(&out, message);
   out += "}";
   return out;
-}
-
-size_t DiagnosticSink::CountAtLeast(Severity s) const {
-  size_t n = 0;
-  for (const Diagnostic& d : diags_) {
-    if (d.severity >= s) ++n;
-  }
-  return n;
 }
 
 void DiagnosticSink::Sort() {
@@ -122,7 +81,7 @@ std::string RenderText(const std::vector<Diagnostic>& diags,
 std::string RenderJson(const std::vector<Diagnostic>& diags,
                        std::string_view file) {
   std::string out = "{\"file\":";
-  AppendJsonString(&out, file);
+  prore::AppendJsonEscaped(&out, file);
   out += ",\"diagnostics\":[";
   for (size_t i = 0; i < diags.size(); ++i) {
     if (i) out += ",";
@@ -160,16 +119,16 @@ std::string RenderSarif(
       first_result = false;
       size_t idx = rule_index(d.code);
       results += "{\"ruleId\":";
-      AppendJsonString(&results, d.code);
+      prore::AppendJsonEscaped(&results, d.code);
       results += prore::StrFormat(",\"ruleIndex\":%zu,\"level\":", idx);
-      AppendJsonString(&results, SeverityName(d.severity));
+      prore::AppendJsonEscaped(&results, SeverityName(d.severity));
       results += ",\"message\":{\"text\":";
       std::string text = d.message;
       if (!d.pred.empty()) text += " [" + d.pred + "]";
-      AppendJsonString(&results, text);
+      prore::AppendJsonEscaped(&results, text);
       results += "},\"locations\":[{\"physicalLocation\":{"
                  "\"artifactLocation\":{\"uri\":";
-      AppendJsonString(&results, file);
+      prore::AppendJsonEscaped(&results, file);
       // SARIF regions are 1-based; clamp unknown spans (line 0) to 1.
       results += prore::StrFormat(
           "},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}]}",
@@ -186,7 +145,7 @@ std::string RenderSarif(
   for (size_t i = 0; i < rules.size(); ++i) {
     if (i) out += ",";
     out += "{\"id\":";
-    AppendJsonString(&out, rules[i]);
+    prore::AppendJsonEscaped(&out, rules[i]);
     out += "}";
   }
   out += "]}},\"results\":[";

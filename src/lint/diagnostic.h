@@ -55,9 +55,6 @@ class DiagnosticSink {
   const std::vector<Diagnostic>& diagnostics() const { return diags_; }
   std::vector<Diagnostic> Take() { return std::move(diags_); }
 
-  size_t CountAtLeast(Severity s) const;
-  bool HasErrors() const { return CountAtLeast(Severity::kError) > 0; }
-
   /// Stable order for output and golden tests: by (line, column, code,
   /// pred, message). Does NOT deduplicate — passes are required not to
   /// emit duplicates (the fuzz suite asserts this).

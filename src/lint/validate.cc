@@ -610,10 +610,11 @@ class Validator {
       }
       return;
     }
-    if (in_.original->Has(callee)) {
+    if (in_.original->Has(callee) || by_pred_.count(callee) > 0) {
       // A call through the original name reaches the dispatcher, whose
       // run-time tests select a safe version — mode-legal by design.
-      // Coverage (PL103) already guarantees the name still resolves.
+      // Coverage (PL103) already guarantees the name still resolves; a
+      // predicate known only by its versions is defined by another group.
       return;
     }
     bool illegal = false;

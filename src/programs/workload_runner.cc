@@ -2,70 +2,22 @@
 
 #include <chrono>
 
-#include "common/str_util.h"
+#include "analysis/modes.h"
 #include "engine/database.h"
 #include "reader/parser.h"
 #include "term/store.h"
 
 namespace prore::programs {
 
-namespace {
-
-/// Positions of '+' arguments in a mode string like "(+,-)". Anything that
-/// is not '+' or '-' (parentheses, commas, spaces) is ignored, matching
-/// analysis::ModeFromString for the subset the benchmark programs use.
-std::vector<size_t> PlusPositions(const std::string& mode) {
-  std::vector<size_t> out;
-  size_t pos = 0;
-  for (char c : mode) {
-    if (c == '+') out.push_back(pos);
-    if (c == '+' || c == '-') ++pos;
-  }
-  return out;
-}
-
-void AppendModeQueries(const BenchmarkProgram& program,
-                       const BenchmarkProgram::ModeWorkload& wl,
-                       std::vector<std::string>* goals) {
-  std::vector<size_t> plus = PlusPositions(wl.mode);
-  std::vector<size_t> is_plus(wl.arity, 0);
-  for (size_t p : plus) is_plus[p] = 1;
-  if (!plus.empty() && program.universe.empty()) return;
-  // Odometer over universe constants in the '+' positions, exactly as
-  // core::Evaluator::CompareMode enumerates them.
-  std::vector<size_t> idx(plus.size(), 0);
-  while (true) {
-    std::string goal = wl.pred;
-    if (wl.arity > 0) {
-      goal += "(";
-      size_t plus_seen = 0;
-      for (uint32_t i = 0; i < wl.arity; ++i) {
-        if (i > 0) goal += ",";
-        if (is_plus[i]) {
-          goal += program.universe[idx[plus_seen]];
-          ++plus_seen;
-        } else {
-          goal += prore::StrFormat("V%u", i);
-        }
-      }
-      goal += ")";
-    }
-    goals->push_back(goal);
-    size_t k = 0;
-    for (; k < idx.size(); ++k) {
-      if (++idx[k] < program.universe.size()) break;
-      idx[k] = 0;
-    }
-    if (idx.empty() || k == idx.size()) break;
-  }
-}
-
-}  // namespace
-
 std::vector<std::string> WorkloadQueries(const BenchmarkProgram& program) {
   std::vector<std::string> goals;
   for (const auto& wl : program.mode_workloads) {
-    AppendModeQueries(program, wl, &goals);
+    auto mode = analysis::ModeFromString(wl.mode);
+    if (!mode.ok()) continue;
+    for (std::string& goal :
+         analysis::ModeQueries(wl.pred, *mode, program.universe)) {
+      goals.push_back(std::move(goal));
+    }
   }
   for (const auto& wl : program.query_workloads) {
     goals.insert(goals.end(), wl.queries.begin(), wl.queries.end());

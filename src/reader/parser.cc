@@ -17,13 +17,35 @@ prore::Status Parser::ErrorHere(const std::string& what) const {
 }
 
 term::TermRef Parser::VarFor(const std::string& name) {
-  if (name == "_") return store_->MakeVar();  // each _ is distinct
+  if (name == "_") {
+    // Each _ is distinct, and named from its clause (_G0, _G1, ..., never a
+    // spelling the clause uses): the clause then renders the same in every
+    // store and re-reads as itself.
+    std::string spelling;
+    do {
+      spelling = prore::StrFormat("_G%zu", next_anonymous_++);
+    } while (clause_spellings_.count(spelling) > 0);
+    return store_->MakeVar(spelling);
+  }
   auto it = clause_vars_.find(name);
   if (it != clause_vars_.end()) return it->second;
   TermRef v = store_->MakeVar(name);
   clause_vars_.emplace(name, v);
   var_order_.emplace_back(name, v);
   return v;
+}
+
+void Parser::BeginClause() {
+  clause_vars_.clear();
+  var_order_.clear();
+  clause_spellings_.clear();
+  next_anonymous_ = 0;
+  for (size_t i = tpos_; i < tokens_.size(); ++i) {
+    if (tokens_[i].kind == TokenKind::kEnd) break;
+    if (tokens_[i].kind == TokenKind::kVariable) {
+      clause_spellings_.insert(tokens_[i].text);
+    }
+  }
 }
 
 namespace {
@@ -308,8 +330,7 @@ prore::Status Parser::ApplyOpDirective(term::TermRef goal) {
 }
 
 prore::Status Parser::ParseClauseInto(Program* program) {
-  clause_vars_.clear();
-  var_order_.clear();
+  BeginClause();
   const SourceSpan clause_span{Cur().line, Cur().column};
   PRORE_ASSIGN_OR_RETURN(TermRef t, ParseTerm(1200));
   if (Cur().kind != TokenKind::kEnd) {
@@ -396,8 +417,7 @@ prore::Result<std::vector<ReadTerm>> Parser::ParseTermSequenceText(
   tpos_ = 0;
   std::vector<ReadTerm> out;
   while (Cur().kind != TokenKind::kEof) {
-    clause_vars_.clear();
-    var_order_.clear();
+    BeginClause();
     const SourceSpan span{Cur().line, Cur().column};
     PRORE_ASSIGN_OR_RETURN(TermRef t, ParseTerm(1200));
     if (Cur().kind != TokenKind::kEnd) {
@@ -417,8 +437,7 @@ prore::Result<ReadTerm> Parser::ParseTermText(std::string_view text) {
   Lexer lexer(text);
   PRORE_ASSIGN_OR_RETURN(tokens_, lexer.Tokenize());
   tpos_ = 0;
-  clause_vars_.clear();
-  var_order_.clear();
+  BeginClause();
   const SourceSpan span{Cur().line, Cur().column};
   PRORE_ASSIGN_OR_RETURN(TermRef t, ParseTerm(1200));
   if (Cur().kind == TokenKind::kEnd) Bump();

@@ -5,6 +5,7 @@
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -60,6 +61,9 @@ class Parser {
   prore::Result<term::TermRef> ParseArgList(term::Symbol functor);
   prore::Result<term::TermRef> ParseList();
   term::TermRef VarFor(const std::string& name);
+  /// Resets the per-clause variable scope before the clause starting at
+  /// the current token.
+  void BeginClause();
   /// Handles `:- op(Priority, Type, Name)` so later clauses parse with the
   /// user-declared operator (copy-on-write over the standard table).
   prore::Status ApplyOpDirective(term::TermRef goal);
@@ -86,6 +90,10 @@ class Parser {
   size_t tpos_ = 0;
   std::unordered_map<std::string, term::TermRef> clause_vars_;
   std::vector<std::pair<std::string, term::TermRef>> var_order_;
+  /// Variable spellings of the current clause, and the counter naming its
+  /// anonymous variables.
+  std::unordered_set<std::string> clause_spellings_;
+  size_t next_anonymous_ = 0;
   /// Source position of every term created while parsing, keyed by ref.
   /// ParseProgram moves this into the returned Program for diagnostics.
   std::unordered_map<term::TermRef, SourceSpan> spans_;

@@ -1,6 +1,5 @@
 #include "reader/program.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace prore::reader {
@@ -29,24 +28,6 @@ const std::vector<Clause>& Program::ClausesOf(const term::PredId& id) const {
 std::vector<Clause>* Program::MutableClausesOf(const term::PredId& id) {
   auto it = preds_.find(id);
   return it == preds_.end() ? nullptr : &it->second;
-}
-
-void Program::SetClauses(const term::PredId& id, std::vector<Clause> clauses) {
-  auto it = preds_.find(id);
-  if (it == preds_.end()) {
-    pred_order_.push_back(id);
-    preds_.emplace(id, std::move(clauses));
-  } else {
-    it->second = std::move(clauses);
-  }
-}
-
-void Program::ErasePred(const term::PredId& id) {
-  auto it = preds_.find(id);
-  if (it == preds_.end()) return;
-  preds_.erase(it);
-  pred_order_.erase(std::remove(pred_order_.begin(), pred_order_.end(), id),
-                    pred_order_.end());
 }
 
 size_t Program::NumClauses() const {

@@ -47,13 +47,6 @@ class Program {
   const std::vector<Clause>& ClausesOf(const term::PredId& id) const;
   std::vector<Clause>* MutableClausesOf(const term::PredId& id);
 
-  /// Replaces (or creates) the clause list of `id`.
-  void SetClauses(const term::PredId& id, std::vector<Clause> clauses);
-
-  /// Removes a predicate entirely (used when specialization supersedes the
-  /// original). No-op if absent.
-  void ErasePred(const term::PredId& id);
-
   const std::vector<term::TermRef>& directives() const { return directives_; }
 
   size_t NumPreds() const { return pred_order_.size(); }
@@ -64,9 +57,6 @@ class Program {
   // (terms are immutable, so the key is stable). Diagnostics look spans up
   // here; terms created by transformations simply have no entry.
 
-  void SetTermSpan(term::TermRef t, const SourceSpan& span) {
-    term_spans_.emplace(t, span);
-  }
   void SetTermSpans(std::unordered_map<term::TermRef, SourceSpan> spans) {
     term_spans_ = std::move(spans);
   }
@@ -76,8 +66,6 @@ class Program {
     auto it = term_spans_.find(t);
     return it == term_spans_.end() ? SourceSpan{} : it->second;
   }
-
-  size_t NumTermSpans() const { return term_spans_.size(); }
 
  private:
   std::vector<term::PredId> pred_order_;

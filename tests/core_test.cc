@@ -213,6 +213,19 @@ TEST_F(PipelineTest, SpecializationEmitsVersionsAndDispatcher) {
   EXPECT_TRUE(reparsed.ok()) << reparsed.status().ToString();
 }
 
+// Versions identical modulo their own name merge even when that name is a
+// substring of a callee's: p_i and p_u both read `r_u(X), xp_i(X), !`, and
+// the p_i inside xp_i is not a self-reference.
+TEST_F(PipelineTest, IdenticalVersionsMergeWhenACalleeNameContainsTheirs) {
+  Load("r(1). r(2). r(3).\n"
+       "xp(X) :- X > 1.\n"
+       "p(X) :- r(X), xp(X), !.\n");
+  ReorderResult r = Reorder();
+  const std::string text = reader::WriteProgram(store_, r.program);
+  EXPECT_EQ(text.find("\np_i("), std::string::npos) << text;
+  EXPECT_NE(text.find("p(X1) :-\n    p_u(X1)."), std::string::npos) << text;
+}
+
 TEST_F(PipelineTest, NonSpecializedModeKeepsNames) {
   Load(kGrandmotherProgram);
   ReorderOptions opts;

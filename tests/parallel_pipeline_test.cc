@@ -1,19 +1,23 @@
 // Tests of the parallel optimization pipeline (core/pipeline.h jobs > 0):
 // SCC dependency groups come out in valid topological order, sharded runs
-// are bit-identical to the sequential pipeline for every worker count, and
+// are bit-identical to the whole-program pipeline for every worker count,
+// a warm cache replays every group byte for byte, and
 // a fault injected into one dependency group quarantines only that group
 // while the rest of the program is optimized at full strength.
 
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/callgraph.h"
+#include "core/analysis_cache.h"
 #include "core/evaluation.h"
 #include "core/fault.h"
 #include "core/pipeline.h"
+#include "program_generator.h"
 #include "reader/parser.h"
 #include "reader/writer.h"
 #include "term/store.h"
@@ -155,7 +159,7 @@ TEST(DependencyGroupsTest, MutualRecursionSharesOneGroup) {
 }
 
 TEST(ParallelPipelineTest, ShardedOutputBitIdenticalAcrossJobCounts) {
-  // Reference: jobs=1 (sharded code path, inline execution).
+  // Reference: jobs=1 (no worker threads: the whole-program path).
   std::string reference_text;
   std::string reference_report;
   {
@@ -188,30 +192,137 @@ TEST(ParallelPipelineTest, ShardedOutputBitIdenticalAcrossJobCounts) {
   }
 }
 
-TEST(ParallelPipelineTest, ShardedAgreesWithClassicOnAnswers) {
-  // Sharded output is not textually identical to the classic jobs=0
-  // whole-program pipeline — cross-group calls route through the owning
-  // group's original-name dispatcher instead of being specialized at the
-  // call site, and each group is optimized against its own cone — but
-  // both must preserve the original program's answer sets.
+TEST(ParallelPipelineTest, ShardedEqualsWholeProgramByteForByte) {
+  // Group by group, against the callee groups' published summaries, the
+  // sharded run emits exactly the whole-program pipeline's program and
+  // report — cross-group calls go to the callees' specialized versions.
+  std::string whole_text, whole_report;
   {
     TermStore store;
     auto program = reader::ParseProgramText(&store, kMultiCluster);
     ASSERT_TRUE(program.ok());
-    GuardedPipeline pipeline(&store);  // jobs = 0: whole-program
-    auto result = pipeline.Run(*program);
+    auto result = GuardedPipeline(&store).Run(*program);  // whole-program
     ASSERT_TRUE(result.ok()) << result.status().ToString();
+    whole_text = reader::WriteProgram(store, result->program);
+    whole_report = result->report.ToJson();
     ExpectSetEquivalent(&store, *program, result->program);
   }
+  EXPECT_NE(whole_text.find("grand_uu(X,Z) :-\n    parent_uu("),
+            std::string::npos)
+      << whole_text;
   TermStore store;
   auto program = reader::ParseProgramText(&store, kMultiCluster);
   ASSERT_TRUE(program.ok());
   PipelineOptions options;
   options.jobs = 2;
-  GuardedPipeline pipeline(&store, options);
-  auto result = pipeline.Run(*program);
+  auto result = GuardedPipeline(&store, options).Run(*program);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
-  ExpectSetEquivalent(&store, *program, result->program);
+  EXPECT_EQ(reader::WriteProgram(store, result->program), whole_text);
+  EXPECT_EQ(result->report.ToJson(), whole_report);
+}
+
+// Anonymous variables in heads and bodies: the cached rendering of a
+// group must re-validate and replay to the cold bytes.
+const char kAnonymousVars[] = R"(
+owns(ann, car). owns(bob, bike). owns(bob, car).
+likes(ann, _).
+likes(bob, X) :- owns(bob, X).
+has_any(P) :- owns(P, _).
+fan(P, _) :- likes(P, car), has_any(P).
+)";
+
+TEST(ParallelPipelineTest, WarmCacheReplaysEveryGroupByteForByte) {
+  core::AnalysisCache cache;
+  std::string cold;
+  for (int pass = 0; pass < 2; ++pass) {
+    TermStore store;
+    auto program = reader::ParseProgramText(&store, kAnonymousVars);
+    ASSERT_TRUE(program.ok());
+    auto graph = analysis::CallGraph::Build(store, *program);
+    ASSERT_TRUE(graph.ok());
+    const size_t groups = analysis::ComputeDependencyGroups(*graph).size();
+    PipelineOptions options;
+    options.jobs = 1;
+    options.cache = &cache;
+    auto result = GuardedPipeline(&store, options).Run(*program);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    ASSERT_FALSE(result->report.degraded()) << result->report.ToText();
+    const std::string text = reader::WriteProgram(store, result->program);
+    if (pass == 0) {
+      cold = text;
+      EXPECT_EQ(result->report.cache_misses, groups);
+      continue;
+    }
+    EXPECT_EQ(result->report.cache_hits, groups);
+    EXPECT_EQ(result->report.cache_rejected, 0u);
+    EXPECT_EQ(text, cold);
+  }
+}
+
+// A deterministic demotion recurs on every recompute, so the demoted
+// group and its callers are cached and replay to the same program and
+// report.
+TEST(ParallelPipelineTest, DeterministicDemotionReplaysFromCache) {
+  core::AnalysisCache cache;
+  std::string cold_text, cold_report;
+  for (int pass = 0; pass < 2; ++pass) {
+    TermStore store;
+    auto program = reader::ParseProgramText(&store, kMultiCluster);
+    ASSERT_TRUE(program.ok());
+    auto graph = analysis::CallGraph::Build(store, *program);
+    ASSERT_TRUE(graph.ok());
+    const size_t groups = analysis::ComputeDependencyGroups(*graph).size();
+    TransformFaultPlan plan = FaultFor(store, "grand/2", "*");
+    PipelineOptions options;
+    options.jobs = 2;
+    options.fault = &plan;
+    options.cache = &cache;
+    auto result = GuardedPipeline(&store, options).Run(*program);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(result->report.degraded());
+    const std::string text = reader::WriteProgram(store, result->program);
+    if (pass == 0) {
+      cold_text = text;
+      cold_report = result->report.ToJson();
+      continue;
+    }
+    EXPECT_EQ(result->report.cache_hits, groups);
+    EXPECT_EQ(text, cold_text);
+    EXPECT_EQ(result->report.ToJson(), cold_report);
+  }
+}
+
+// A cached group is replayed only under the caller facts it was built
+// with. In fuzz seed 19, rule3's second clause is rule2's only caller:
+// without it rule2 is a root (absint analyzes it in every mode); with it,
+// rule2 is only called bound. The predicates and rule2's clauses are the
+// same either way, but rule2's key must change, or rule3 would be priced
+// against statistics the whole-program run never sees.
+TEST(ParallelPipelineTest, CallerEditRekeysCalleeGroups) {
+  const std::string full = testing::ProgramGenerator(19).Generate().source;
+  std::string uncalled;
+  std::istringstream lines(full);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("rule3(", 0) == 0 &&
+        line.find("rule2(") != std::string::npos) {
+      continue;
+    }
+    uncalled += line + "\n";
+  }
+  ASSERT_NE(uncalled, full);
+  auto run = [](const std::string& source, core::AnalysisCache* cache) {
+    TermStore store;
+    auto program = reader::ParseProgramText(&store, source);
+    EXPECT_TRUE(program.ok());
+    PipelineOptions options;
+    options.cache = cache;
+    auto result = GuardedPipeline(&store, options).Run(*program);
+    EXPECT_TRUE(result.ok());
+    return reader::WriteProgram(store, result->program);
+  };
+  core::AnalysisCache cache;
+  run(uncalled, &cache);
+  EXPECT_EQ(run(full, &cache), run(full, nullptr));
 }
 
 TEST(ParallelPipelineTest, FaultQuarantinesOnlyItsGroup) {

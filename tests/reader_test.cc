@@ -305,6 +305,42 @@ TEST(WriterTest, RoundTripThroughParse) {
   }
 }
 
+// Unnamed variables are named from the clause itself (_G0, _G1, ... in
+// first-occurrence order), so one clause renders the same in every store —
+// a shard's arena, the main store, a re-parsed cache entry.
+TEST(WriterTest, UnnamedVariablesRenderTheSameInEveryStore) {
+  const char* source = "f(_, X, _) :- g(X, _), h(_).";
+  std::string first;
+  for (int padding = 0; padding < 3; ++padding) {
+    TermStore store;
+    for (int i = 0; i < padding * 7; ++i) store.MakeVar();
+    auto r = ParseProgramText(&store, source);
+    ASSERT_TRUE(r.ok());
+    term::PredId f{store.symbols().Intern("f"), 3};
+    const std::string text = WriteClause(store, r->ClausesOf(f)[0]);
+    if (padding == 0) {
+      first = text;
+      EXPECT_EQ(text, "f(_G0,X,_G1) :-\n    g(X,_G2),\n    h(_G3).");
+    }
+    EXPECT_EQ(text, first) << "padding " << padding;
+  }
+}
+
+// A source variable spelled like a generated name is never captured: the
+// unnamed variables skip the spellings the clause already uses.
+TEST(WriterTest, GeneratedNamesAvoidUserVariablesOfTheSameSpelling) {
+  TermStore store;
+  auto r = ParseProgramText(&store, "p(_G0, _, _G1) :- q(_, _G0).");
+  ASSERT_TRUE(r.ok());
+  term::PredId p{store.symbols().Intern("p"), 3};
+  const std::string text = WriteClause(store, r->ClausesOf(p)[0]);
+  EXPECT_EQ(text, "p(_G0,_G2,_G1) :-\n    q(_G3,_G0).");
+  // Re-reading the text gives back a clause with the same sharing.
+  auto again = ParseProgramText(&store, text);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(WriteClause(store, again->ClausesOf(p)[0]), text);
+}
+
 TEST(FloatSyntaxTest, LexAndParse) {
   TermStore store;
   auto r = ParseQueryText(&store, "3.14.");

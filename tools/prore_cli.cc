@@ -21,10 +21,10 @@
 //   --no-specialize     one version per predicate, original names
 //   --no-clauses        keep clause order (goals only)
 //   --no-goals          keep goal order (clauses only)
-//   --jobs=N            transform SCC dependency groups in parallel on N
-//                       worker threads (0 = classic whole-program pipeline,
-//                       the default). Output is bit-identical for every
-//                       N >= 1; N only changes wall-clock time.
+//   --jobs=N            worker threads for the SCC dependency groups
+//                       (0 and 1: none, the default 0). The output is
+//                       bit-identical for every N; N only changes
+//                       wall-clock time.
 //                       --jobs=auto maps to hardware_concurrency() (with a
 //                       documented fallback to 1 when it reports 0).
 //   --retry-attempts=N  total attempts per predicate on a transient fault
