@@ -3,9 +3,13 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/json.h"
 #include "common/result.h"
 #include "core/evaluation.h"
 #include "core/reorderer.h"
@@ -107,6 +111,29 @@ inline void PrintRows(const std::vector<WorkloadRow>& rows,
                   row.Ratio(), paper, row.set_equivalent ? "yes" : "NO!");
     }
   }
+}
+
+/// Rewrites the JSON object in `path` with `rows` as its `section` member,
+/// keeping the other members and their order, so benches that share one
+/// file (pipeline_scale and mt_queries in BENCH_parallel.json) can run in
+/// either order, or alone. Returns false on I/O failure.
+inline bool WriteJsonSection(const std::string& path,
+                             const std::string& section, JsonValue rows) {
+  std::stringstream text;
+  if (std::ifstream in(path); in) text << in.rdbuf();
+  auto old = JsonValue::Parse(text.str());
+  JsonValue doc = JsonValue::Object();
+  bool placed = false;
+  if (old.ok() && old->is_object()) {
+    for (const auto& [key, value] : old->members()) {
+      placed = placed || key == section;
+      doc.Set(key, key == section ? rows : value);
+    }
+  }
+  if (!placed) doc.Set(section, std::move(rows));
+  std::ofstream out(path);
+  out << doc.Dump() << "\n";
+  return out.good();
 }
 
 }  // namespace prore::bench

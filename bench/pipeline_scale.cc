@@ -1,8 +1,9 @@
 // Parallel-pipeline scaling bench: builds a ~1000-predicate synthetic
 // program whose call graph condenses into hundreds of independent SCC
 // dependency groups, runs the guarded pipeline at --jobs 1/2/4/8, and
-// appends the measured wall-clock curve to BENCH_parallel.json under the
+// writes the measured wall-clock curve to BENCH_parallel.json under the
 // "pipeline" key (the "engine" key, written by mt_queries, is preserved).
+// jobs=1 is the inline pool: the same group-by-group run, no threads.
 //
 // The numbers are real measurements on the build host; on a single-core
 // container the curve is flat (threads only add scheduling overhead), and
@@ -11,7 +12,9 @@
 //
 // Usage: pipeline_scale [output.json]   (default BENCH_parallel.json)
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -19,7 +22,8 @@
 #include <vector>
 
 #include "analysis/callgraph.h"
-#include "bench/parallel_json.h"
+#include "bench/bench_util.h"
+#include "common/json.h"
 #include "common/thread_pool.h"
 #include "core/pipeline.h"
 #include "reader/parser.h"
@@ -34,6 +38,8 @@ namespace {
 // and cost model real work; across clusters there are no edges, so the
 // sharded pipeline has abundant parallelism.
 constexpr int kClusters = 250;
+
+constexpr int kRepeats = 3;  // per jobs value; the best is recorded
 
 std::string SyntheticProgram() {
   std::ostringstream out;
@@ -76,55 +82,67 @@ int main(int argc, char** argv) {
   }
 
   const size_t jobs_curve[] = {1, 2, 4, 8};
-  std::vector<std::string> entries;
+  prore::JsonValue rows = prore::JsonValue::Array();
   std::string reference_text;
   double wall_ms_at_1 = 0.0;
 
   for (size_t jobs : jobs_curve) {
-    prore::term::TermStore store;
-    auto program = prore::reader::ParseProgramText(&store, source);
-    if (!program.ok()) return 1;
+    // Best of kRepeats, each from a fresh parse; the slowest is kept too,
+    // as the spread.
+    double wall_ms = 0.0, slowest_ms = 0.0;
+    for (int rep = 0; rep < kRepeats; ++rep) {
+      prore::term::TermStore store;
+      auto program = prore::reader::ParseProgramText(&store, source);
+      if (!program.ok()) return 1;
 
-    prore::core::PipelineOptions opts;
-    opts.jobs = jobs;
-    prore::core::GuardedPipeline pipeline(&store, opts);
+      prore::core::PipelineOptions opts;
+      opts.jobs = jobs;
+      prore::core::GuardedPipeline pipeline(&store, opts);
 
-    auto t0 = std::chrono::steady_clock::now();
-    auto result = pipeline.Run(*program);
-    auto t1 = std::chrono::steady_clock::now();
-    if (!result.ok()) {
-      std::fprintf(stderr, "jobs=%zu: %s\n", jobs,
-                   result.status().ToString().c_str());
-      return 1;
+      auto t0 = std::chrono::steady_clock::now();
+      auto result = pipeline.Run(*program);
+      auto t1 = std::chrono::steady_clock::now();
+      if (!result.ok()) {
+        std::fprintf(stderr, "jobs=%zu: %s\n", jobs,
+                     result.status().ToString().c_str());
+        return 1;
+      }
+      const double ms =
+          std::chrono::duration<double, std::milli>(t1 - t0).count();
+      wall_ms = rep == 0 ? ms : std::min(wall_ms, ms);
+      slowest_ms = std::max(slowest_ms, ms);
+
+      std::string text = prore::reader::WriteProgram(store, result->program);
+      if (reference_text.empty()) {
+        reference_text = text;
+      } else if (text != reference_text) {
+        std::fprintf(stderr,
+                     "FAIL: jobs=%zu output differs from jobs=1 output\n",
+                     jobs);
+        return 1;
+      }
     }
-    double wall_ms =
-        std::chrono::duration<double, std::milli>(t1 - t0).count();
+    if (jobs == 1) wall_ms_at_1 = wall_ms;
 
-    std::string text = prore::reader::WriteProgram(store, result->program);
-    if (jobs == 1) {
-      reference_text = text;
-      wall_ms_at_1 = wall_ms;
-    } else if (text != reference_text) {
-      std::fprintf(stderr,
-                   "FAIL: jobs=%zu output differs from jobs=1 output\n",
-                   jobs);
-      return 1;
-    }
-
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"threads\": %zu, \"wall_ms\": %.2f, "
-                  "\"speedup_vs_1\": %.2f, \"preds\": %zu, "
-                  "\"groups\": %zu, \"hw_threads\": %zu}",
-                  jobs, wall_ms,
-                  wall_ms > 0.0 ? wall_ms_at_1 / wall_ms : 0.0, num_preds,
-                  num_groups, prore::ThreadPool::HardwareConcurrency());
-    entries.push_back(buf);
+    using prore::JsonValue;
+    JsonValue row = JsonValue::Object();
+    row.Set("threads", JsonValue::Number(jobs));
+    row.Set("wall_ms", JsonValue::Number(std::round(wall_ms * 100) / 100));
+    row.Set("slowest_ms",
+            JsonValue::Number(std::round(slowest_ms * 100) / 100));
+    row.Set("repeats", JsonValue::Number(kRepeats));
+    row.Set("speedup_vs_1",
+            JsonValue::Number(std::round(wall_ms_at_1 / wall_ms * 100) / 100));
+    row.Set("preds", JsonValue::Number(num_preds));
+    row.Set("groups", JsonValue::Number(num_groups));
+    row.Set("hw_threads",
+            JsonValue::Number(prore::ThreadPool::HardwareConcurrency()));
+    rows.push_back(std::move(row));
     std::printf("jobs=%zu: %.1f ms (%zu preds, %zu groups)\n", jobs,
                 wall_ms, num_preds, num_groups);
   }
 
-  if (!prore::bench::WriteParallelSection(out_path, "pipeline", entries)) {
+  if (!prore::bench::WriteJsonSection(out_path, "pipeline", std::move(rows))) {
     std::fprintf(stderr, "cannot write %s\n", out_path);
     return 1;
   }

@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -346,8 +347,9 @@ void JsonValue::DumpTo(std::string* out) const {
       double intpart = 0;
       if (std::modf(number_, &intpart) == 0.0 && std::abs(number_) < 1e15) {
         *out += prore::StrFormat("%lld", static_cast<long long>(number_));
-      } else {
-        *out += prore::StrFormat("%.17g", number_);
+      } else {  // the shortest text that reads back as the same double
+        char buf[32];
+        out->append(buf, std::to_chars(buf, buf + sizeof(buf), number_).ptr);
       }
       return;
     }

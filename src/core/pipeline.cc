@@ -113,6 +113,18 @@ analysis::CallerFacts CallerFacts(const std::vector<PredId>& preds,
   return out;
 }
 
+/// Runs `stage`, a Result-returning callable: a thrown failure comes back
+/// as an error status too, so nothing escapes a fault boundary.
+template <typename Stage>
+auto Guarded(const char* what, const Stage& stage) -> decltype(stage()) {
+  try {
+    return stage();
+  } catch (const std::exception& e) {
+    return prore::Status::Internal(
+        prore::StrFormat("uncaught exception in %s: %s", what, e.what()));
+  }
+}
+
 }  // namespace
 
 bool PipelineReport::degraded() const {
@@ -167,53 +179,42 @@ std::string PipelineReport::ToText() const {
 }
 
 std::string PipelineReport::ToJson() const {
-  std::string out = prore::StrFormat(
-      "{\"runs\":%d,\"degraded\":%s,\"quarantined\":%zu", runs,
-      degraded() ? "true" : "false", quarantined());
-  out += ",\"global_trigger\":";
-  prore::AppendJsonEscaped(&out, global_trigger);
-  out += prore::StrFormat(",\"unfold_disabled\":%s",
-                          unfold_disabled ? "true" : "false");
-  out += ",\"unfold_trigger\":";
-  prore::AppendJsonEscaped(&out, unfold_trigger);
-  out += prore::StrFormat(",\"factor_disabled\":%s",
-                          factor_disabled ? "true" : "false");
-  out += ",\"factor_trigger\":";
-  prore::AppendJsonEscaped(&out, factor_trigger);
-  out += prore::StrFormat(",\"absint_disabled\":%s",
-                          absint_disabled ? "true" : "false");
-  out += ",\"absint_trigger\":";
-  prore::AppendJsonEscaped(&out, absint_trigger);
-  out += ",\"preds\":[";
-  for (size_t i = 0; i < preds.size(); ++i) {
-    const PredOutcome& p = preds[i];
-    if (i) out += ",";
-    out += "{\"pred\":";
-    prore::AppendJsonEscaped(&out, p.name);
-    out += ",\"level\":";
-    prore::AppendJsonEscaped(&out, LadderLevelName(p.level));
-    out += prore::StrFormat(
-        ",\"attempts\":%d,\"retries\":%d,\"fault_class\":", p.attempts,
-        p.retries);
-    prore::AppendJsonEscaped(&out, p.fault_class);
-    out += prore::StrFormat(
-        ",\"clauses_changed\":%s,\"goals_changed\":%s",
-        p.clauses_changed ? "true" : "false",
-        p.goals_changed ? "true" : "false");
-    out += ",\"triggers\":[";
-    for (size_t j = 0; j < p.triggers.size(); ++j) {
-      if (j) out += ",";
-      prore::AppendJsonEscaped(&out, p.triggers[j]);
+  using prore::JsonValue;
+  JsonValue out = JsonValue::Object();
+  out.Set("runs", JsonValue::Number(runs));
+  out.Set("degraded", JsonValue::Bool(degraded()));
+  out.Set("quarantined", JsonValue::Number(quarantined()));
+  out.Set("global_trigger", JsonValue::String(global_trigger));
+  out.Set("unfold_disabled", JsonValue::Bool(unfold_disabled));
+  out.Set("unfold_trigger", JsonValue::String(unfold_trigger));
+  out.Set("factor_disabled", JsonValue::Bool(factor_disabled));
+  out.Set("factor_trigger", JsonValue::String(factor_trigger));
+  out.Set("absint_disabled", JsonValue::Bool(absint_disabled));
+  out.Set("absint_trigger", JsonValue::String(absint_trigger));
+  JsonValue list = JsonValue::Array();
+  for (const PredOutcome& p : preds) {
+    JsonValue o = JsonValue::Object();
+    o.Set("pred", JsonValue::String(p.name));
+    o.Set("level", JsonValue::String(LadderLevelName(p.level)));
+    o.Set("attempts", JsonValue::Number(p.attempts));
+    o.Set("retries", JsonValue::Number(p.retries));
+    o.Set("fault_class", JsonValue::String(p.fault_class));
+    o.Set("clauses_changed", JsonValue::Bool(p.clauses_changed));
+    o.Set("goals_changed", JsonValue::Bool(p.goals_changed));
+    JsonValue triggers = JsonValue::Array();
+    for (const std::string& t : p.triggers) {
+      triggers.push_back(JsonValue::String(t));
     }
-    out += "]}";
+    o.Set("triggers", std::move(triggers));
+    list.push_back(std::move(o));
   }
-  out += "]}";
-  return out;
+  out.Set("preds", std::move(list));
+  return out.Dump();
 }
 
 bool GuardedPipeline::TryAdoptCachedGroup(
     const GroupCacheEntry& entry, const std::vector<PredId>& members,
-    const reader::Program& original,
+    const reader::Program& working,
     const std::vector<const CalleeSummary*>& callees,
     reader::Program* out_frag) {
   auto frag = reader::ParseProgramText(store_, entry.program_text);
@@ -228,7 +229,7 @@ bool GuardedPipeline::TryAdoptCachedGroup(
   // catch any torn, truncated, or cross-wired entry.
   reader::Program orig_sub;
   for (const PredId& p : members) {
-    for (const reader::Clause& c : original.ClausesOf(p)) {
+    for (const reader::Clause& c : working.ClausesOf(p)) {
       orig_sub.AddClause(*store_, c);
     }
   }
@@ -258,262 +259,250 @@ bool GuardedPipeline::TryAdoptCachedGroup(
 
 prore::Result<PipelineResult> GuardedPipeline::Run(
     const reader::Program& original) {
-  // Both paths emit the same program; one Reorderer over everything is
-  // simply the fastest when there are no workers to share groups between
-  // and no cache to replay them from.
-  return options_.jobs <= 1 && options_.cache == nullptr
-             ? RunWhole(original, nullptr)
-             : RunSharded(original);
-}
-
-prore::Result<PipelineResult> GuardedPipeline::RunWhole(
-    const reader::Program& original, const GroupContext* group) {
-  // The ladder covers what this run emits: with a group, its members.
-  const std::vector<PredId> preds =
-      group != nullptr ? *group->members : original.pred_order();
-
-  std::unordered_map<PredId, LadderLevel, term::PredIdHash> levels;
-  std::unordered_map<PredId, int, term::PredIdHash> attempts;
-  std::unordered_map<PredId, std::vector<std::string>, term::PredIdHash>
-      triggers;
-  std::unordered_map<PredId, int, term::PredIdHash> retries_used;
-  std::unordered_map<PredId, prore::FaultClass, term::PredIdHash>
-      fault_classes;
-  for (const PredId& p : preds) {
-    levels[p] = LadderLevel::kFull;
-    attempts[p] = 1;
+  // Whole-program work runs here, before any group starts: the unfold and
+  // factor pre-passes, then (RunGroups) the condensation and the analyses,
+  // all over the program the pre-passes produced. A pass repeats only to
+  // change that: a stage disabled after a failure (absint after a watchdog
+  // trip), or predicates newly demoted to kNoUnfold exempted from the
+  // pre-passes. Each repeat drops a stage or adds an exemption, so it ends.
+  PipelineOptions pass_options = options_;
+  // What earlier passes settled: runs, stage flags, every ladder state.
+  PipelineReport earlier;
+  earlier.runs = 0;
+  for (const PredId& p : original.pred_order()) {
+    PredOutcome& o = earlier.preds.emplace_back();
+    o.pred = p;
+    o.name = reader::PredName(*store_, p);
   }
+  analysis::PredSet skip;  // exempt from the pre-passes (kNoUnfold and below)
 
-  bool unfold_enabled = options_.unfold;
-  bool factor_enabled = options_.factor;
-  bool absint_enabled = options_.reorder.absint;
-  PipelineReport report;
-
-  // One rung per predicate per run, plus stage disables and one transient
-  // retry per predicate, bounds the loop; the cap is slack on top of
-  // that, never the expected exit path.
-  const size_t max_runs =
-      options_.max_runs != 0 ? options_.max_runs : 4 * preds.size() + 8;
-
-  // Demotes one rung; false if already at the bottom.
-  auto demote = [&](const PredId& pred, const std::string& why) -> bool {
-    LadderLevel level = levels[pred];
-    if (level == LadderLevel::kIdentity) return false;
-    LadderLevel next;
-    switch (level) {
-      case LadderLevel::kFull:
-        // Without an unfold/factor stage the kNoUnfold rung is a no-op
-        // retry of kFull; skip straight to clause-order-only.
-        next = (unfold_enabled || factor_enabled)
-                   ? LadderLevel::kNoUnfold
-                   : LadderLevel::kClauseOrderOnly;
-        break;
-      case LadderLevel::kNoUnfold:
-        next = LadderLevel::kClauseOrderOnly;
-        break;
-      default:
-        next = LadderLevel::kIdentity;
-        break;
-    }
-    levels[pred] = next;
-    ++attempts[pred];
-    triggers[pred].push_back(why);
-    return true;
-  };
-
-  auto fill_pred_outcomes =
-      [&](const std::vector<PredModeReport>* final_reports) {
-        report.preds.clear();
-        for (const PredId& p : preds) {
-          PredOutcome o;
-          o.pred = p;
-          o.name = reader::PredName(*store_, p);
-          o.level = levels[p];
-          o.attempts = attempts[p];
-          o.triggers = triggers[p];
-          auto rit = retries_used.find(p);
-          if (rit != retries_used.end()) o.retries = rit->second;
-          auto fit = fault_classes.find(p);
-          if (fit != fault_classes.end() &&
-              fit->second != prore::FaultClass::kNone) {
-            o.fault_class = prore::FaultClassName(fit->second);
-          }
-          if (final_reports != nullptr) {
-            for (const PredModeReport& r : *final_reports) {
-              if (r.pred == p) {
-                o.clauses_changed = o.clauses_changed || r.clauses_changed;
-                o.goals_changed = o.goals_changed || r.goals_changed;
-              }
-            }
-          }
-          report.preds.push_back(std::move(o));
-        }
-      };
-
-  auto identity_fallback = [&](const std::string& why)
-      -> prore::Result<PipelineResult> {
-    report.global_trigger = why;
-    for (const PredId& p : preds) levels[p] = LadderLevel::kIdentity;
-    fill_pred_outcomes(nullptr);
+  // Unattributable failures, cancellation and expired deadlines land on
+  // the always-correct identity program, with the reason on record.
+  auto identity = [&](const std::string& why) {
     PipelineResult result;
-    for (const PredId& p : preds) {
-      for (const reader::Clause& clause : original.ClausesOf(p)) {
+    result.report = earlier;
+    result.report.runs = earlier.runs + 1;
+    result.report.global_trigger = why;
+    for (PredOutcome& o : result.report.preds) {
+      o.level = LadderLevel::kIdentity;
+      o.clauses_changed = o.goals_changed = false;
+      for (const reader::Clause& clause : original.ClausesOf(o.pred)) {
         result.program.AddClause(*store_, clause);
       }
     }
     for (term::TermRef d : original.directives()) {
       result.program.AddDirective(d);
     }
+    return result;
+  };
+
+  for (;;) {
+    if (prore::Status ctx = options_.exec.Check(); !ctx.ok()) {
+      return identity(ctx.ToString());
+    }
+
+    // ---- Stage 1: unfold / factor pre-passes ---------------------------
+    // A failure here is rarely attributable to one predicate, so the
+    // fallback is coarser: disable the whole stage and re-run.
+    const reader::Program* working = &original;
+    prore::Result<reader::Program> unfolded = reader::Program();
+    prore::Result<reader::Program> factored = reader::Program();
+    if (pass_options.unfold) {
+      UnfoldOptions uo = options_.unfold_options;
+      uo.skip = skip;
+      unfolded = Guarded("unfold", [&] {
+        return UnfoldProgram(store_, *working, uo);
+      });
+      if (!unfolded.ok()) {
+        pass_options.unfold = false;
+        earlier.unfold_disabled = true;
+        earlier.unfold_trigger = unfolded.status().ToString();
+        ++earlier.runs;
+        continue;
+      }
+      working = &*unfolded;
+    }
+    if (pass_options.factor) {
+      factored = Guarded("factor", [&] {
+        return FactorDisjunctions(store_, *working, nullptr, &skip);
+      });
+      if (!factored.ok()) {
+        pass_options.factor = false;
+        earlier.factor_disabled = true;
+        earlier.factor_trigger = factored.status().ToString();
+        ++earlier.runs;
+        continue;
+      }
+      working = &*factored;
+    }
+
+    // ---- Stage 2: the dependency groups --------------------------------
+    // A group's result depends on what earlier passes settled (its
+    // members' rungs, absint on or off): key entries by that too.
+    pass_options.cache_salt =
+        analysis::HashBytes(options_.cache_salt, earlier.ToJson());
+    auto pass = Guarded("pipeline", [&] {
+      return GuardedPipeline(store_, pass_options)
+          .RunGroups(original, *working, earlier);
+    });
+    if (!pass.ok()) {
+      // An absint watchdog trip is a stage failure, not a predicate's
+      // fault: drop the stage (baseline estimates) and re-run the analyses
+      // instead of falling to identity.
+      if (pass_options.reorder.absint &&
+          pass.status().code() == prore::StatusCode::kResourceExhausted &&
+          pass.status().error_term() == "resource_error(watchdog(absint))") {
+        pass_options.reorder.absint = false;
+        earlier.absint_disabled = true;
+        earlier.absint_trigger = pass.status().ToString();
+        ++earlier.runs;
+        continue;
+      }
+      return identity(pass.status().ToString());
+    }
+
+    // ---- Stage 3: a kNoUnfold demotion re-runs the pre-passes without it
+    bool exempted = false;
+    for (const PredOutcome& o : pass->report.preds) {
+      if ((pass_options.unfold || pass_options.factor) &&
+          !options_.stop_on_degrade && o.level >= LadderLevel::kNoUnfold &&
+          skip.insert(o.pred).second) {
+        exempted = true;
+      }
+    }
+    if (!exempted) return pass;
+    earlier.runs = pass->report.runs;
+    earlier.preds = std::move(pass->report.preds);
+  }
+}
+
+prore::Result<PipelineResult> GuardedPipeline::RunGroup(
+    const reader::Program& sub, const GroupContext& group,
+    const Outcomes& carried) {
+  const std::vector<PredId>& preds = *group.members;
+  // The members' ladder state, picked up where earlier passes left it.
+  PipelineReport report;
+  for (const PredId& p : preds) {
+    PredOutcome& o = report.preds.emplace_back(carried.at(p));
+    o.clauses_changed = o.goals_changed = false;
+  }
+  auto member = [&](const PredId& p) -> PredOutcome* {
+    for (PredOutcome& o : report.preds) {
+      if (o.pred == p) return &o;
+    }
+    return nullptr;
+  };
+  const bool prepass = options_.unfold || options_.factor;
+  bool exempted = false;  // a member went to kNoUnfold
+
+  // One rung per member per run, plus one transient retry each, bounds the
+  // loop; the cap is slack on top of that, never the expected exit path.
+  const size_t max_runs = 4 * preds.size() + 8;
+
+  // Demotes one rung; false if already at the bottom.
+  auto demote = [&](PredOutcome& o, const std::string& why) -> bool {
+    if (o.level == LadderLevel::kIdentity) return false;
+    // Without an unfold/factor stage the kNoUnfold rung is a no-op retry
+    // of kFull; skip straight to clause-order-only.
+    if (o.level == LadderLevel::kFull && prepass) {
+      o.level = LadderLevel::kNoUnfold;
+      exempted = true;
+    } else {
+      o.level = o.level == LadderLevel::kClauseOrderOnly
+                    ? LadderLevel::kIdentity
+                    : LadderLevel::kClauseOrderOnly;
+    }
+    ++o.attempts;
+    o.triggers.push_back(why);
+    return true;
+  };
+
+  // The members verbatim, published under their original names.
+  auto verbatim = [&]() -> prore::Result<PipelineResult> {
+    PipelineResult result;
+    for (const PredId& p : preds) {
+      for (const reader::Clause& clause : sub.ClausesOf(p)) {
+        result.program.AddClause(*store_, clause);
+      }
+    }
     result.report = std::move(report);
     result.summary = IdentitySummary(*store_, preds);
     return result;
   };
+  auto identity_fallback = [&](const std::string& why) {
+    report.global_trigger = why;
+    for (PredOutcome& o : report.preds) o.level = LadderLevel::kIdentity;
+    return verbatim();
+  };
 
   for (size_t run = 1; run <= max_runs; ++run) {
+    // The pre-passes must be re-run without a kNoUnfold member
+    // (GuardedPipeline::Run); building on their output is wasted.
+    if (exempted) return verbatim();
     report.runs = static_cast<int>(run);
 
-    // A cancelled or past-deadline context stops starting new attempts;
-    // what has been decided so far is discarded in favor of the always-
-    // correct identity program, with the reason on record.
+    // A cancelled or past-deadline context stops starting new attempts.
     if (prore::Status ctx = options_.exec.Check(); !ctx.ok()) {
       return identity_fallback(ctx.ToString());
     }
 
-    analysis::PredSet no_unfold;
-    analysis::PredSet clause_only;
-    analysis::PredSet identity;
-    for (const auto& [pred, level] : levels) {
-      if (level >= LadderLevel::kNoUnfold) no_unfold.insert(pred);
-      if (level == LadderLevel::kClauseOrderOnly) clause_only.insert(pred);
-      if (level == LadderLevel::kIdentity) identity.insert(pred);
-    }
-
-    // ---- Stage 1: unfold / factor pre-passes -------------------------
-    // A failure here is rarely attributable to one predicate, so the
-    // fallback is coarser: disable the whole stage and re-run.
-    const reader::Program* working = &original;
-    reader::Program unfolded_storage, factored_storage;
-    if (unfold_enabled) {
-      UnfoldOptions uo = options_.unfold_options;
-      uo.skip = no_unfold;
-      prore::Status st;
-      try {
-        auto r = UnfoldProgram(store_, *working, uo);
-        if (r.ok()) {
-          unfolded_storage = std::move(r).value();
-          working = &unfolded_storage;
-        } else {
-          st = r.status();
-        }
-      } catch (const std::exception& e) {
-        st = prore::Status::Internal(
-            prore::StrFormat("uncaught exception in unfold: %s", e.what()));
-      }
-      if (!st.ok()) {
-        unfold_enabled = false;
-        report.unfold_disabled = true;
-        report.unfold_trigger = st.ToString();
-        continue;
-      }
-    }
-    if (factor_enabled) {
-      prore::Status st;
-      try {
-        auto r = FactorDisjunctions(store_, *working, nullptr, &no_unfold);
-        if (r.ok()) {
-          factored_storage = std::move(r).value();
-          working = &factored_storage;
-        } else {
-          st = r.status();
-        }
-      } catch (const std::exception& e) {
-        st = prore::Status::Internal(
-            prore::StrFormat("uncaught exception in factor: %s", e.what()));
-      }
-      if (!st.ok()) {
-        factor_enabled = false;
-        report.factor_disabled = true;
-        report.factor_trigger = st.ToString();
-        continue;
-      }
-    }
-
-    // ---- Stage 2: the reorderer under its fault boundary -------------
     ReorderOptions ro = options_.reorder;
-    ro.clause_order_only = clause_only;
-    ro.identity_preds = identity;
+    for (const PredOutcome& o : report.preds) {
+      if (o.level == LadderLevel::kClauseOrderOnly) {
+        ro.clause_order_only.insert(o.pred);
+      }
+      if (o.level == LadderLevel::kIdentity) ro.identity_preds.insert(o.pred);
+    }
     ro.cost_watchdog = options_.cost_watchdog;
-    ro.inference.watchdog = options_.inference_watchdog;
-    ro.absint = absint_enabled;
-    ro.absint_watchdog = options_.absint_watchdog;
     ro.exec = options_.exec;
     if (options_.fault != nullptr) ro.fault = options_.fault;
-    PredId blamed{};
-    bool have_blame = false;
+    PredOutcome* blamed = nullptr;
     auto user_cb = options_.reorder.on_pred_error;
     ro.on_pred_error = [&](const PredId& p, const prore::Status& st) {
-      blamed = p;
-      have_blame = true;
+      blamed = member(p);
       if (user_cb) user_cb(p, st);
     };
 
-    prore::Result<ReorderResult> rr = ReorderResult{};
-    try {
-      rr = Reorderer(store_, ro).Run(*working, group);
-    } catch (const std::exception& e) {
-      rr = prore::Status::Internal(
-          prore::StrFormat("uncaught exception in reorderer: %s", e.what()));
-    }
+    auto rr = Guarded("reorderer",
+                      [&] { return Reorderer(store_, ro).Run(sub, &group); });
 
     if (!rr.ok()) {
-      // An absint watchdog trip is a stage failure, not a predicate's
-      // fault: drop the stage (baseline estimates) and retry instead of
-      // descending the ladder or falling to identity.
-      if (absint_enabled &&
-          rr.status().code() == prore::StatusCode::kResourceExhausted &&
-          rr.status().error_term() == "resource_error(watchdog(absint))") {
-        absint_enabled = false;
-        report.absint_disabled = true;
-        report.absint_trigger = rr.status().ToString();
-        continue;
-      }
-      const prore::FaultClass fc =
-          prore::ClassifyFaultStatus(rr.status());
+      const prore::FaultClass fc = prore::ClassifyFaultStatus(rr.status());
       // Cancellation and an expired global deadline are not predicate
-      // faults — retrying or demoting cannot outrun them. Land on the
-      // identity program immediately.
+      // faults — retrying or demoting cannot outrun them.
       if (fc == prore::FaultClass::kCancelled ||
           rr.status().error_term() == "resource_error(deadline_exceeded)") {
         return identity_fallback(rr.status().ToString());
       }
-      if (have_blame && levels.count(blamed) > 0) {
-        fault_classes[blamed] = fc;
+      if (blamed != nullptr) {
+        PredOutcome& o = *blamed;
+        o.fault_class = prore::FaultClassName(fc);
         // Transient faults (watchdog trips, OOM) get one retry with
         // backoff at the same ladder rung before demotion: the failure
-        // may have been scheduling noise or a contended sibling shard.
+        // may have been scheduling noise or a contended sibling group.
         if (fc == prore::FaultClass::kTransient && options_.retry.enabled() &&
-            retries_used[blamed] < options_.retry.max_retries() &&
-            levels[blamed] != LadderLevel::kIdentity) {
-          ++retries_used[blamed];
-          ++attempts[blamed];
-          triggers[blamed].push_back("retry (transient): " +
-                                     rr.status().ToString());
-          if (!prore::BackoffSleep(options_.retry.ToBackoff(),
-                                   retries_used[blamed], options_.exec)
+            o.retries < options_.retry.max_retries() &&
+            o.level != LadderLevel::kIdentity) {
+          ++o.retries;
+          ++o.attempts;
+          o.triggers.push_back("retry (transient): " +
+                               rr.status().ToString());
+          if (!prore::BackoffSleep(options_.retry.ToBackoff(), o.retries,
+                                   options_.exec)
                    .ok()) {
             return identity_fallback(options_.exec.Check().ToString());
           }
           continue;
         }
-        if (demote(blamed, rr.status().ToString())) continue;
+        if (demote(o, rr.status().ToString())) continue;
       }
-      // Unattributable (setup/analysis failure, e.g. a mode-inference
-      // watchdog trip) or an identity build failed (which must not
-      // happen): the only safe landing is the identity program.
+      // Unattributable (a setup failure over the subprogram) or an
+      // identity build failed (which must not happen): the only safe
+      // landing is the identity program.
       return identity_fallback(rr.status().ToString());
     }
 
-    // ---- Stage 3: validator diagnostics as quarantine triggers -------
+    // ---- Validator diagnostics as quarantine triggers ------------------
     // Map version names back to original predicates so a finding against
     // aunt_iu/2 demotes aunt/2.
     std::unordered_map<std::string, PredId> owner;
@@ -527,29 +516,30 @@ prore::Result<PipelineResult> GuardedPipeline::RunWhole(
     for (const lint::Diagnostic& d : rr->diagnostics) {
       if (d.severity != lint::Severity::kError) continue;
       auto it = owner.find(d.pred);
+      PredOutcome* o = it != owner.end() ? member(it->second) : nullptr;
       std::string why = d.code + ": " + d.message;
+      // No predicate to blame (or it is already at identity, which
+      // self-validates — a contradiction): identity for everything.
+      if (o == nullptr) return identity_fallback(why);
       // Validator findings reproduce on identical input: deterministic,
       // never retried.
-      if (it != owner.end()) {
-        fault_classes[it->second] = prore::FaultClass::kDeterministic;
-      }
-      if (it == owner.end() || levels.count(it->second) == 0 ||
-          !demote(it->second, why)) {
-        // No predicate to blame (or it is already at identity, which
-        // self-validates — a contradiction): identity for everything.
-        return identity_fallback(why);
-      }
+      o->fault_class = prore::FaultClassName(prore::FaultClass::kDeterministic);
+      if (!demote(*o, why)) return identity_fallback(why);
       demoted_any = true;
     }
     if (demoted_any) continue;
 
-    // ---- Success ------------------------------------------------------
-    fill_pred_outcomes(&rr->reports);
+    // ---- Success --------------------------------------------------------
+    for (const PredModeReport& r : rr->reports) {
+      PredOutcome* o = member(r.pred);
+      if (o == nullptr) continue;
+      o->clauses_changed = o->clauses_changed || r.clauses_changed;
+      o->goals_changed = o->goals_changed || r.goals_changed;
+    }
     PipelineResult result;
     result.program = std::move(rr->program);
     result.reports = std::move(rr->reports);
     result.diagnostics = std::move(rr->diagnostics);
-    result.absint_report = std::move(rr->absint_report);
     result.report = std::move(report);
     result.summary = std::move(rr->summary);
     return result;
@@ -560,39 +550,36 @@ prore::Result<PipelineResult> GuardedPipeline::RunWhole(
                        max_runs));
 }
 
-prore::Result<PipelineResult> GuardedPipeline::RunSharded(
-    const reader::Program& original) {
+prore::Result<PipelineResult> GuardedPipeline::RunGroups(
+    const reader::Program& original, const reader::Program& working,
+    const PipelineReport& earlier) {
+  Outcomes carried;
+  for (const PredOutcome& o : earlier.preds) carried.emplace(o.pred, o);
   // Condensation and the analyses whose facts flow caller -> callee
   // (cut-freezing, mode inference, absint) run at most once, on the
-  // calling thread, over the whole program. If any fails, the whole-
-  // program path's fault machinery produces the right fallback. Unfold and
-  // factor rewrite clauses across group boundaries, so runs with them stay
-  // whole.
-  if (options_.unfold || options_.factor) return RunWhole(original, nullptr);
-  auto graph = analysis::CallGraph::Build(*store_, original);
-  if (!graph.ok()) return RunWhole(original, nullptr);
-  auto frozen = FrozenDescendants(*store_, original, *graph);
-  if (!frozen.ok()) return RunWhole(original, nullptr);
+  // calling thread, over the whole program the groups are built from.
+  PRORE_ASSIGN_OR_RETURN(auto decls,
+                         analysis::ParseDeclarations(*store_, working));
+  PRORE_ASSIGN_OR_RETURN(auto graph,
+                         analysis::CallGraph::Build(*store_, working));
+  PRORE_ASSIGN_OR_RETURN(auto frozen,
+                         FrozenDescendants(*store_, working, graph));
   const analysis::DependencyGroups dg =
-      analysis::ComputeDependencyGroups(*graph);
-  if (dg.size() <= 1) return RunWhole(original, nullptr);
-  const std::vector<PredId>& preds = original.pred_order();
+      analysis::ComputeDependencyGroups(graph);
+  const std::vector<PredId>& preds = working.pred_order();
   const analysis::PredSet all_preds(preds.begin(), preds.end());
 
   // Mode inference and absint run when some group has to be built, or to
   // key a program the cache has not seen.
   std::optional<CallPatterns> patterns;
-  auto analyze = [&]() -> bool {
-    auto decls = analysis::ParseDeclarations(*store_, original);
-    if (!decls.ok()) return false;
+  auto analyze = [&]() -> prore::Status {
     ReorderOptions ro = options_.reorder;
     ro.inference.watchdog = options_.inference_watchdog;
     ro.absint_watchdog = options_.absint_watchdog;
     ro.exec = options_.exec;
-    auto p = AnalyzeCallPatterns(*store_, original, *graph, *decls, ro);
-    if (!p.ok()) return false;
-    patterns = std::move(*p);
-    return true;
+    PRORE_ASSIGN_OR_RETURN(
+        patterns, AnalyzeCallPatterns(*store_, working, graph, decls, ro));
+    return prore::Status::OK();
   };
 
   struct GroupRun {
@@ -605,7 +592,6 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
         prore::Status::Cancelled("group task never ran");
     /// What callers see: identity until the group publishes.
     CalleeSummary summary;
-    GroupContext context;
     /// Replayed from the cache: `result` holds the entry, its clauses
     /// parsed into the main store.
     bool hit = false;
@@ -632,7 +618,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
     // analyses produce; they are a function of the whole program, so a
     // program seen before reuses its keys.
     const analysis::ContentHashes hashes = analysis::ComputeContentHashes(
-        *store_, original, dg, options_.cache_salt);
+        *store_, working, dg, options_.cache_salt);
     uint64_t program_key = 0;
     for (uint64_t h : hashes.group_hash) {
       program_key = analysis::HashMix(program_key, h);
@@ -640,10 +626,9 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
     if (auto known = options_.cache->LookupGroupKeys(program_key)) {
       keys = *known;
     } else {
-      if (!analyze()) return RunWhole(original, nullptr);
-      keys = analysis::FoldCallerFacts(
-          *store_, dg, hashes,
-          CallerFacts(preds, *frozen, *patterns));
+      PRORE_RETURN_IF_ERROR(analyze());
+      keys = analysis::FoldCallerFacts(*store_, dg, hashes,
+                                       CallerFacts(preds, frozen, *patterns));
       options_.cache->InsertGroupKeys(program_key, keys);
     }
     for (size_t gi = 0; gi < dg.size(); ++gi) {
@@ -653,7 +638,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
       std::vector<const CalleeSummary*> callees;  // the direct ones
       for (size_t d : dg.deps[gi]) callees.push_back(&runs[d].summary);
       if (entry != nullptr &&
-          !TryAdoptCachedGroup(*entry, dg.groups[gi], original, callees,
+          !TryAdoptCachedGroup(*entry, dg.groups[gi], working, callees,
                                &replay.program)) {
         options_.cache->Invalidate(keys[gi]);
         ++cache_rejected;
@@ -679,8 +664,8 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
       gr.result = std::move(replay);
     }
   }
-  if (cache_hits < dg.size() && !patterns.has_value() && !analyze()) {
-    return RunWhole(original, nullptr);
+  if (cache_hits < dg.size() && !patterns.has_value()) {
+    PRORE_RETURN_IF_ERROR(analyze());
   }
   for (size_t gi = 0; gi < dg.size(); ++gi) {
     if (runs[gi].hit) continue;
@@ -693,12 +678,12 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
 
   std::string out_of_band_failure;
 
-  // Sibling-shard interruption: every group task runs under a child
+  // Sibling-group interruption: every group task runs under a child
   // cancellation scope of the pipeline's own context, so (a) a caller's
   // cancel propagates into every in-flight group's analyses, and (b)
   // stop_on_degrade can cancel the siblings from inside a task the
   // moment one group degrades (prore --strict: the exit code is already
-  // decided, finishing the other shards buys nothing).
+  // decided, finishing the other groups buys nothing).
   prore::CancellationSource group_cancel(options_.exec.token);
   const prore::ExecContext group_exec =
       options_.exec.WithToken(group_cancel.token());
@@ -725,19 +710,19 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
     auto run_group = [&](size_t gi) {
       GroupRun& gr = runs[gi];
       if (group_cancel.Cancelled()) return;  // keep the never-ran status
-      try {
+      gr.result = Guarded("pipeline group", [&] {
         gr.store.AdoptSymbols(*store_);
-        gr.context =
-            GroupContext{&dg.groups[gi], &*frozen, &all_preds, &*patterns, {}};
+        GroupContext context{&dg.groups[gi], &frozen, &all_preds, &*patterns,
+                             {}};
         analysis::PredSet in_sub(dg.groups[gi].begin(), dg.groups[gi].end());
         for (size_t d : dg.TransitiveDeps(gi)) {
           in_sub.insert(dg.groups[d].begin(), dg.groups[d].end());
-          gr.context.callees.push_back(&runs[d].summary);
+          context.callees.push_back(&runs[d].summary);
         }
         reader::Program sub;
         for (const PredId& p : preds) {
           if (in_sub.count(p) == 0) continue;
-          for (const reader::Clause& c : original.ClausesOf(p)) {
+          for (const reader::Clause& c : working.ClausesOf(p)) {
             std::unordered_map<uint32_t, term::TermRef> vars;
             reader::Clause copy;
             copy.head = gr.store.CopyFrom(*store_, c.head, &vars);
@@ -747,23 +732,21 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
         }
         // Declarations (legal modes etc.) may concern any predicate; copy
         // them all and let each group pick out what it needs.
-        for (term::TermRef d : original.directives()) {
+        for (term::TermRef d : working.directives()) {
           sub.AddDirective(gr.store.CopyFrom(*store_, d));
         }
 
         PipelineOptions po = options_;
         po.exec = group_exec;
-        gr.result = GuardedPipeline(&gr.store, std::move(po))
-                        .RunWhole(sub, &gr.context);
-        if (gr.result.ok()) gr.summary = std::move(gr.result->summary);
-        if (options_.stop_on_degrade && gr.result.ok() &&
-            gr.result->report.degraded()) {
+        return GuardedPipeline(&gr.store, std::move(po))
+            .RunGroup(sub, context, carried);
+      });
+      if (gr.result.ok()) {
+        gr.summary = std::move(gr.result->summary);
+        if (options_.stop_on_degrade && gr.result->report.degraded()) {
           group_cancel.RequestCancel(prore::StrFormat(
               "sibling group %zu degraded under stop_on_degrade", gi));
         }
-      } catch (const std::exception& e) {
-        gr.result = prore::Status::Internal(prore::StrFormat(
-            "uncaught exception in pipeline group: %s", e.what()));
       }
       if (!threaded) return;
       for (size_t d : gr.dependents) {
@@ -793,6 +776,9 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
       out_of_band_failure = "pipeline worker exception (non-std)";
     }
   }
+  // A cancel or an expired deadline lands on the identity program however
+  // far the groups got, so the output never depends on their timing.
+  PRORE_RETURN_IF_ERROR(options_.exec.Check());
 
   // ---- Deterministic merge ---------------------------------------------
   // Reports, diagnostics and cache entries are gathered in group order —
@@ -802,6 +788,9 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
   // in source order, exactly as one whole-program run assembles it.
   PipelineResult out;
   PipelineReport& rep = out.report;
+  rep = earlier;
+  rep.preds.clear();
+  int group_runs = 1;
   std::unordered_map<PredId, PredOutcome, term::PredIdHash> outcomes;
   // Owned predicate -> its group, and its versions followed by itself.
   std::unordered_map<PredId, std::pair<size_t, std::vector<PredId>>,
@@ -812,16 +801,12 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
   for (size_t gi = 0; gi < dg.size(); ++gi) {
     GroupRun& gr = runs[gi];
     if (!gr.result.ok()) {
-      // The inner pipeline only errors on malformed input, which a
-      // well-formed subprogram rules out — but if it happens, land the
-      // group on identity so the merged program stays complete.
+      // A group that never ran (stopped, or lost to a worker exception)
+      // lands on identity, so the merged program stays complete.
       std::string why = gr.result.status().ToString();
       for (const PredId& p : dg.groups[gi]) {
-        PredOutcome o;
-        o.pred = p;
-        o.name = reader::PredName(*store_, p);
+        PredOutcome o = carried.at(p);
         o.level = LadderLevel::kIdentity;
-        o.attempts = 1;
         o.triggers.push_back(why);
         outcomes.emplace(p, std::move(o));
       }
@@ -832,9 +817,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
       continue;  // no chunks: the members' original clauses are emitted
     }
     PipelineResult& pr = *gr.result;
-    // Groups run no unfold, factor or absint stage of their own, so those
-    // stage flags stay as the whole-program analyses left them.
-    rep.runs = std::max(rep.runs, pr.report.runs);
+    group_runs = std::max(group_runs, pr.report.runs);
     if (!pr.report.global_trigger.empty() && rep.global_trigger.empty()) {
       rep.global_trigger = prore::StrFormat(
           "group %zu: %s", gi, pr.report.global_trigger.c_str());
@@ -889,15 +872,18 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
     GroupRun& gr = runs[gi];
     GroupCacheEntry* entry = entries[gi].get();
     for (const PredId& q : chunk) {
-      for (const reader::Clause& c : gr.result->program.ClausesOf(q)) {
-        if (gr.hit) {  // parsed into the main store during adoption
-          out.program.AddClause(*store_, c);
-          continue;
+      // An identity member ships the original clause terms themselves.
+      auto o = outcomes.find(q);
+      const bool verbatim =
+          o != outcomes.end() && o->second.level == LadderLevel::kIdentity;
+      for (const reader::Clause& c :
+           (verbatim ? original : gr.result->program).ClausesOf(q)) {
+        reader::Clause copy = c;
+        if (!verbatim && !gr.hit) {  // hits were parsed into the main store
+          std::unordered_map<uint32_t, term::TermRef> vars;
+          copy.head = store_->CopyFrom(gr.store, c.head, &vars);
+          copy.body = store_->CopyFrom(gr.store, c.body, &vars);
         }
-        std::unordered_map<uint32_t, term::TermRef> vars;
-        reader::Clause copy;
-        copy.head = store_->CopyFrom(gr.store, c.head, &vars);
-        copy.body = store_->CopyFrom(gr.store, c.body, &vars);
         out.program.AddClause(*store_, copy);
         if (entry != nullptr) {
           // Rendered from the main-store copy the output itself holds, so
@@ -920,21 +906,13 @@ prore::Result<PipelineResult> GuardedPipeline::RunSharded(
   if (patterns.has_value() && patterns->absint != nullptr) {
     out.absint_report = analysis::absint::DumpAbsint(*patterns->absint);
   }
+  rep.runs += group_runs;
   rep.cache_hits = cache_hits;
   rep.cache_misses = cache_misses;
   rep.cache_rejected = cache_rejected;
   for (term::TermRef d : original.directives()) out.program.AddDirective(d);
-  for (const PredId& p : preds) {
-    auto it = outcomes.find(p);
-    if (it != outcomes.end()) {
-      rep.preds.push_back(std::move(it->second));
-    } else {
-      PredOutcome o;  // defensive: a group somehow skipped this predicate
-      o.pred = p;
-      o.name = reader::PredName(*store_, p);
-      rep.preds.push_back(std::move(o));
-    }
-  }
+  // Every predicate is some group's member.
+  for (const PredId& p : preds) rep.preds.push_back(outcomes.at(p));
   return out;
 }
 

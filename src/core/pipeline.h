@@ -40,12 +40,11 @@ const char* LadderLevelName(LadderLevel level);
 
 struct PipelineOptions {
   ReorderOptions reorder;
-  /// Worker threads; 0 and 1 both mean none. The output does not depend
-  /// on it: with workers (or a cache) the call graph is condensed into
-  /// dependency groups (analysis::DependencyGroups), each transformed by
-  /// its own task once its callee groups have published their summaries
-  /// (CalleeSummary), and the groups' outputs merged into the program one
-  /// whole-program run emits, byte for byte.
+  /// Worker threads; 0 and 1 both mean none. Only the thread count: the
+  /// call graph is always condensed into dependency groups
+  /// (analysis::DependencyGroups), each transformed once its callee groups
+  /// have published their summaries (CalleeSummary), and the output does
+  /// not depend on it.
   size_t jobs = 0;
   /// Run the unfolding pre-pass (prore --unfold).
   bool unfold = false;
@@ -59,12 +58,9 @@ struct PipelineOptions {
   prore::WatchdogBudget cost_watchdog;
   /// Budget for the abstract-interpretation fixpoints (0 fields =
   /// unlimited). A trip does not quarantine a predicate: the whole stage
-  /// is disabled (reorder.absint = false) and the run retried — absint is
-  /// an accuracy upgrade, not a correctness requirement.
+  /// is disabled (reorder.absint = false) and the analyses re-run — absint
+  /// is an accuracy upgrade, not a correctness requirement.
   prore::WatchdogBudget absint_watchdog;
-  /// Whole-pipeline retry cap; 0 = automatic (enough for every predicate
-  /// to descend the full ladder, plus slack).
-  size_t max_runs = 0;
   /// Transform-stage fault injection (tests only).
   const TransformFaultPlan* fault = nullptr;
   /// Cancellation/deadline scope for the whole run: checked before every
@@ -92,12 +88,12 @@ struct PipelineOptions {
   /// transform options here so entries produced under different options
   /// never collide. (prored derives it from the request's option set.)
   uint64_t cache_salt = 0;
-  /// Sharded runs only: as soon as one group degrades, cancel the sibling
-  /// groups (pending tasks dropped, running ones interrupted through
-  /// their ExecContext) instead of burning them to completion. Used by
-  /// `prore --strict`, where any degradation already means exit 3 — so
-  /// sibling results cannot change the outcome. Off by default because
-  /// early-stopping makes jobs=N output depend on completion timing.
+  /// As soon as one group degrades, cancel the sibling groups (pending
+  /// tasks dropped, running ones interrupted through their ExecContext),
+  /// and skip the kNoUnfold re-run. Used by `prore --strict`, where any
+  /// degradation already means exit 3 — so sibling results cannot change
+  /// the outcome. Off by default because early-stopping makes jobs=N
+  /// output depend on completion timing.
   bool stop_on_degrade = false;
 };
 
@@ -144,8 +140,8 @@ struct PipelineReport {
   bool absint_disabled = false;
   std::string absint_trigger;
 
-  /// Analysis-cache accounting for this run (sharded path with a cache
-  /// only; all zero otherwise). Deliberately NOT part of ToText/ToJson:
+  /// Analysis-cache accounting for this run (with a cache only; all zero
+  /// otherwise). Deliberately NOT part of ToText/ToJson:
   /// the rendered report describes the transformation, which is identical
   /// whether a group was recomputed or replayed from cache — keeping the
   /// counters out is what makes cache-hit responses bit-identical to cold
@@ -209,14 +205,14 @@ struct PipelineResult {
   CalleeSummary summary;
 };
 
-/// The self-healing optimization pipeline. Runs unfold/factor/reorder under
-/// a per-predicate fault boundary: any failure attributed to a predicate
-/// demotes it one rung on the degradation ladder and re-runs; global
-/// failures (analysis watchdog trips during setup) fall back to the
-/// identity program. The result therefore always contains every predicate
-/// — healthy ones transformed, quarantined ones at their recorded rung —
-/// and Run() only returns an error for malformed input (not for any
-/// transform failure).
+/// The self-healing optimization pipeline. Runs unfold/factor, then the
+/// reorderer group by group, under a per-predicate fault boundary: any
+/// failure attributed to a predicate demotes it one rung on the degradation
+/// ladder and re-runs its group; global failures (analysis watchdog trips,
+/// cancellation) fall back to the identity program. The result therefore
+/// always contains every predicate — healthy ones transformed, quarantined
+/// ones at their recorded rung — and Run() only returns an error for
+/// malformed input (not for any transform failure).
 class GuardedPipeline {
  public:
   GuardedPipeline(term::TermStore* store, PipelineOptions options = {})
@@ -225,27 +221,33 @@ class GuardedPipeline {
   prore::Result<PipelineResult> Run(const reader::Program& original);
 
  private:
-  /// One Reorderer over `original` under the degradation ladder. With a
-  /// `group`, `original` is one dependency group plus its callee cone,
-  /// and only the group's own predicates are built (Reorderer::Run).
-  prore::Result<PipelineResult> RunWhole(const reader::Program& original,
-                                         const GroupContext* group);
-  /// Group by group: the whole-program analyses run once, then each
-  /// dependency group runs RunWhole over itself plus its callee cone once
-  /// the cone's summaries are published, on the worker pool, with its own
-  /// fault boundary and watchdog deadlines; cache hits replay. The merge
-  /// restores the whole-program order.
-  prore::Result<PipelineResult> RunSharded(const reader::Program& original);
+  using Outcomes =
+      std::unordered_map<term::PredId, PredOutcome, term::PredIdHash>;
+
+  /// One pass over `working`, the pre-passes' output: the whole-program
+  /// analyses, then each dependency group (RunGroup) once its callee groups
+  /// have published, on the worker pool; cache hits replay. The merge
+  /// restores the whole-program order. `earlier` is what earlier passes
+  /// settled (runs, stage flags, ladder state). Errors are unattributable.
+  prore::Result<PipelineResult> RunGroups(const reader::Program& original,
+                                          const reader::Program& working,
+                                          const PipelineReport& earlier);
+  /// The degradation ladder over one dependency group and its callee cone
+  /// (`sub`); only the members are built. A member demoted to kNoUnfold
+  /// ends the run at once, verbatim: the pre-passes must re-run without it.
+  prore::Result<PipelineResult> RunGroup(const reader::Program& sub,
+                                         const GroupContext& group,
+                                         const Outcomes& carried);
 
   /// Parses and self-verifies one cached group entry against the owned
-  /// members' original clauses (PL100-PL103 validator, minus the checks
+  /// members' clauses in `working` (PL100-PL103 validator, minus the checks
   /// that need the producing run's analyses), with the callee groups'
   /// published versions to resolve renamed cross-group calls. On success
   /// the parsed fragment (terms interned in the main store) lands in
   /// *out_frag.
   bool TryAdoptCachedGroup(const GroupCacheEntry& entry,
                            const std::vector<term::PredId>& members,
-                           const reader::Program& original,
+                           const reader::Program& working,
                            const std::vector<const CalleeSummary*>& callees,
                            reader::Program* out_frag);
 

@@ -1185,9 +1185,6 @@ prore::Result<ReorderResult> Pipeline::Run() {
   result.summary = Publish();
   result.reports = std::move(reports_);
   result.diagnostics = std::move(diagnostics_);
-  if (group_ == nullptr && inferred_.absint != nullptr) {
-    result.absint_report = analysis::absint::DumpAbsint(*inferred_.absint);
-  }
   return result;
 }
 

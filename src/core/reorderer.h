@@ -163,8 +163,6 @@ struct ReorderResult {
   /// findings (PL1xx). An error-severity entry means the transformation
   /// failed self-verification. Render with Diagnostic::ToString().
   std::vector<lint::Diagnostic> diagnostics;
-  /// DumpAbsint text when ReorderOptions::absint ran (for --report).
-  std::string absint_report;
   /// The run's own predicates, as its callers' runs see them.
   CalleeSummary summary;
 };

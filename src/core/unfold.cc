@@ -1,9 +1,11 @@
 #include "core/unfold.h"
 
+#include <unordered_map>
 #include <vector>
 
 #include "analysis/body.h"
 #include "analysis/callgraph.h"
+#include "common/str_util.h"
 #include "term/symbol.h"
 
 namespace prore::core {
@@ -181,6 +183,23 @@ size_t CountTopGoals(const TermStore& store, TermRef body) {
   return 1;
 }
 
+/// The clause with its variables, all fresh from renaming, named from the
+/// clause itself in first-occurrence order (_G0, _G1, ...), as the parser
+/// names `_`: an unfolded clause then renders the same in every store.
+reader::Clause NamedFromClause(TermStore* store, reader::Clause clause) {
+  std::vector<TermRef> vars;
+  store->CollectVars(clause.head, &vars);
+  store->CollectVars(clause.body, &vars);
+  std::unordered_map<uint32_t, TermRef> named;
+  for (size_t i = 0; i < vars.size(); ++i) {
+    named.emplace(store->var_id(vars[i]),
+                  store->MakeVar(prore::StrFormat("_G%zu", i)));
+  }
+  clause.head = store->Rename(clause.head, &named);
+  clause.body = store->Rename(clause.body, &named);
+  return clause;
+}
+
 }  // namespace
 
 prore::Result<reader::Program> UnfoldProgram(TermStore* store,
@@ -224,9 +243,13 @@ prore::Result<reader::Program> UnfoldProgram(TermStore* store,
                             : 0;
         PRORE_ASSIGN_OR_RETURN(TermRef new_body,
                                unfolder.RewriteBody(copy.body, &budget));
-        if (!store->Equal(new_body, copy.body)) changed = true;
+        if (store->Equal(new_body, copy.body)) {
+          next.AddClause(*store, clause);  // nothing inlined: as it was
+          continue;
+        }
+        changed = true;
         copy.body = new_body;
-        next.AddClause(*store, copy);
+        next.AddClause(*store, NamedFromClause(store, copy));
       }
     }
     for (TermRef d : current.directives()) next.AddDirective(d);

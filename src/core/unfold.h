@@ -21,9 +21,6 @@ struct UnfoldOptions {
   size_t max_rounds = 2;
   /// Do not grow a clause body beyond this many top-level goals.
   size_t max_body_goals = 10;
-  /// Leave entry points callable: predicates still reachable keep their
-  /// definitions; unfolding only rewrites call sites.
-  bool keep_definitions = true;
   /// Predicates exempt from unfolding (the guarded pipeline's quarantine):
   /// they are never inlined into callers, and their own clauses are copied
   /// verbatim instead of being rewritten.
@@ -37,7 +34,8 @@ struct UnfoldOptions {
 ///   - clause body free of cuts (inlining would change the cut's scope).
 /// Head unification is performed at transformation time on a fresh copy of
 /// both the caller clause and the callee clause; if the head cannot unify,
-/// the goal is replaced by `fail`.
+/// the goal is replaced by `fail`. Only call sites are rewritten: every
+/// predicate keeps its definition, so entry points stay callable.
 ///
 /// The result is a new program over the same store (the originals are
 /// untouched). Run the Reorderer on the result to exploit the extra

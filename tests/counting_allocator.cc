@@ -1,0 +1,27 @@
+#include "counting_allocator.h"
+
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
+namespace {
+
+std::atomic<uint64_t> g_alloc_count{0};
+
+}  // namespace
+
+uint64_t prore::testing::AllocationCount() {
+  return g_alloc_count.load(std::memory_order_relaxed);
+}
+
+// Only the count is instrumented; allocation behavior is unchanged.
+void* operator new(std::size_t size) {
+  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size ? size : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }

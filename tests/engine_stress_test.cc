@@ -4,38 +4,17 @@
 // across reuse, (b) the goal-node pool and trail reach a fixed capacity
 // (storage is recycled, not leaked), and (c) the steady-state solve loop
 // performs zero heap allocations once warm, via a counting global
-// operator new.
+// operator new (counting_allocator.cc).
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <string>
 
+#include "counting_allocator.h"
 #include "engine/database.h"
 #include "engine/machine.h"
 #include "reader/parser.h"
 #include "term/store.h"
-
-namespace {
-
-std::atomic<uint64_t> g_alloc_count{0};
-
-}  // namespace
-
-// Counting global allocator. Only the count is instrumented; allocation
-// behavior is unchanged.
-void* operator new(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace prore {
 namespace {
@@ -73,6 +52,15 @@ std::string NumberList(int n, bool descending) {
   return out + "]";
 }
 
+TEST(CountingAllocatorTest, CountsEveryGlobalNew) {
+  // The zero-allocation checks below are only as good as the counter.
+  const uint64_t before = testing::AllocationCount();
+  void* p = ::operator new(16);
+  const uint64_t after = testing::AllocationCount();
+  ::operator delete(p);
+  EXPECT_EQ(after - before, 1u);
+}
+
 TEST_F(EngineStressTest, NaiveReverse500RecyclesAcrossSolveCalls) {
   Load(R"(
     nrev([], []).
@@ -105,9 +93,9 @@ TEST_F(EngineStressTest, NaiveReverse500RecyclesAcrossSolveCalls) {
   // Pool/trail storage is recycled: capacities stop growing after warm-up.
   size_t pool_cap = machine_->GoalNodePoolCapacity();
   size_t trail_cap = machine_->TrailCapacity();
-  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  uint64_t before = testing::AllocationCount();
   auto m = machine_->Solve(goal);
-  uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  uint64_t after = testing::AllocationCount();
   ASSERT_TRUE(m.ok());
   EXPECT_EQ(machine_->GoalNodePoolCapacity(), pool_cap);
   EXPECT_EQ(machine_->TrailCapacity(), trail_cap);
@@ -129,10 +117,10 @@ TEST_F(EngineStressTest, BetweenFanOutBacktracksAllocationFree) {
     EXPECT_EQ(m2->solutions, 3u);
   }
 
-  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  uint64_t before = testing::AllocationCount();
   auto m1 = machine_->Solve(all);
   auto m2 = machine_->Solve(some);
-  uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  uint64_t after = testing::AllocationCount();
   ASSERT_TRUE(m1.ok());
   ASSERT_TRUE(m2.ok());
   EXPECT_EQ(m2->solutions, 3u);
@@ -170,9 +158,9 @@ TEST_F(EngineStressTest, BudgetExhaustionThenReuse) {
   // still allocates nothing.
   auto bad = bounded.Solve(runaway);
   ASSERT_FALSE(bad.ok());
-  uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
+  uint64_t before = testing::AllocationCount();
   auto good = bounded.Solve(work);
-  uint64_t after = g_alloc_count.load(std::memory_order_relaxed);
+  uint64_t after = testing::AllocationCount();
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(good->solutions, 1u);
   EXPECT_EQ(after - before, 0u);

@@ -2,10 +2,12 @@
 // degradation ladder descends in order, identity is reachable under any
 // fault plan, quarantined predicates are emitted bit-identically, the
 // PipelineReport JSON is stable, the analysis watchdogs degrade instead of
-// failing, and the repro shrinker produces 1-minimal reproducers.
+// failing, a demotion re-runs only its own dependency group, and the repro
+// shrinker produces 1-minimal reproducers.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <fstream>
 #include <iterator>
@@ -86,11 +88,17 @@ void ExpectSetEquivalent(TermStore* store, const reader::Program& original,
   }
 }
 
-TEST(GuardedPipelineTest, CleanRunIsNotDegraded) {
+// The ladder runs inside each dependency group's task, so every case runs
+// with the inline pool (jobs=0) and with worker threads (jobs=4).
+class GuardedPipelineTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(GuardedPipelineTest, CleanRunIsNotDegraded) {
   TermStore store;
   auto program = reader::ParseProgramText(&store, kFamily);
   ASSERT_TRUE(program.ok());
-  GuardedPipeline pipeline(&store);
+  PipelineOptions options;
+  options.jobs = GetParam();
+  GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_FALSE(result->report.degraded());
@@ -104,12 +112,13 @@ TEST(GuardedPipelineTest, CleanRunIsNotDegraded) {
   ExpectSetEquivalent(&store, *program, result->program);
 }
 
-TEST(GuardedPipelineTest, GoalOrderFaultDescendsToClauseOrderOnly) {
+TEST_P(GuardedPipelineTest, GoalOrderFaultDescendsToClauseOrderOnly) {
   TermStore store;
   auto program = reader::ParseProgramText(&store, kFamily);
   ASSERT_TRUE(program.ok());
   TransformFaultPlan plan = FaultFor(store, "grand/2", "goal_order");
   PipelineOptions options;
+  options.jobs = GetParam();
   options.unfold = true;  // exposes the full ladder incl. no-unfold
   options.fault = &plan;
   GuardedPipeline pipeline(&store, options);
@@ -135,12 +144,13 @@ TEST(GuardedPipelineTest, GoalOrderFaultDescendsToClauseOrderOnly) {
   ExpectSetEquivalent(&store, *program, result->program);
 }
 
-TEST(GuardedPipelineTest, PersistentFaultDescendsAllTheWayToIdentity) {
+TEST_P(GuardedPipelineTest, PersistentFaultDescendsAllTheWayToIdentity) {
   TermStore store;
   auto program = reader::ParseProgramText(&store, kFamily);
   ASSERT_TRUE(program.ok());
   TransformFaultPlan plan = FaultFor(store, "grand/2", "*");
   PipelineOptions options;
+  options.jobs = GetParam();
   options.unfold = true;
   options.fault = &plan;
   GuardedPipeline pipeline(&store, options);
@@ -159,7 +169,7 @@ TEST(GuardedPipelineTest, PersistentFaultDescendsAllTheWayToIdentity) {
   ExpectSetEquivalent(&store, *program, result->program);
 }
 
-TEST(GuardedPipelineTest, IdentityIsReachableUnderTotalFault) {
+TEST_P(GuardedPipelineTest, IdentityIsReachableUnderTotalFault) {
   TermStore store;
   auto program = reader::ParseProgramText(&store, kFamily);
   ASSERT_TRUE(program.ok());
@@ -168,6 +178,7 @@ TEST(GuardedPipelineTest, IdentityIsReachableUnderTotalFault) {
     return prore::Status::Internal("everything is broken");
   };
   PipelineOptions options;
+  options.jobs = GetParam();
   options.fault = &plan;
   GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
@@ -186,12 +197,13 @@ TEST(GuardedPipelineTest, IdentityIsReachableUnderTotalFault) {
   ExpectSetEquivalent(&store, *program, result->program);
 }
 
-TEST(GuardedPipelineTest, QuarantinedPredicateIsEmittedBitIdentically) {
+TEST_P(GuardedPipelineTest, QuarantinedPredicateIsEmittedBitIdentically) {
   TermStore store;
   auto program = reader::ParseProgramText(&store, kFamily);
   ASSERT_TRUE(program.ok());
   TransformFaultPlan plan = FaultFor(store, "sib/2", "*");
   PipelineOptions options;
+  options.jobs = GetParam();
   options.fault = &plan;
   GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
@@ -213,13 +225,14 @@ TEST(GuardedPipelineTest, QuarantinedPredicateIsEmittedBitIdentically) {
   }
 }
 
-TEST(GuardedPipelineTest, ReportJsonIsStableAcrossIdenticalRuns) {
-  auto run_once = [](std::string* json) {
+TEST_P(GuardedPipelineTest, ReportJsonIsStableAcrossIdenticalRuns) {
+  auto run_once = [jobs = GetParam()](std::string* json) {
     TermStore store;
     auto program = reader::ParseProgramText(&store, kFamily);
     ASSERT_TRUE(program.ok());
     TransformFaultPlan plan = FaultFor(store, "grand/2", "goal_order");
     PipelineOptions options;
+    options.jobs = jobs;
     options.fault = &plan;
     GuardedPipeline pipeline(&store, options);
     auto result = pipeline.Run(*program);
@@ -242,11 +255,12 @@ TEST(GuardedPipelineTest, ReportJsonIsStableAcrossIdenticalRuns) {
   EXPECT_NE(first.find("\"degraded\":true"), std::string::npos) << first;
 }
 
-TEST(GuardedPipelineTest, CostWatchdogQuarantinesInsteadOfHanging) {
+TEST_P(GuardedPipelineTest, CostWatchdogQuarantinesInsteadOfHanging) {
   TermStore store;
   auto program = reader::ParseProgramText(&store, kFamily);
   ASSERT_TRUE(program.ok());
   PipelineOptions options;
+  options.jobs = GetParam();
   options.cost_watchdog.max_steps = 2;  // pathologically small
   GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
@@ -265,7 +279,7 @@ TEST(GuardedPipelineTest, CostWatchdogQuarantinesInsteadOfHanging) {
   ExpectSetEquivalent(&store, *program, result->program);
 }
 
-TEST(GuardedPipelineTest, ValidatorErrorsQuarantineTheOffendingPredicate) {
+TEST_P(GuardedPipelineTest, ValidatorErrorsQuarantineTheOffendingPredicate) {
   TermStore store;
   auto program = reader::ParseProgramText(&store, kFamily);
   ASSERT_TRUE(program.ok());
@@ -278,6 +292,7 @@ TEST(GuardedPipelineTest, ValidatorErrorsQuarantineTheOffendingPredicate) {
     }
   }
   PipelineOptions options;
+  options.jobs = GetParam();
   options.fault = &plan;
   options.reorder.validate_output = true;
   GuardedPipeline pipeline(&store, options);
@@ -291,6 +306,45 @@ TEST(GuardedPipelineTest, ValidatorErrorsQuarantineTheOffendingPredicate) {
       << parent->triggers[0];
   EXPECT_GT(plan.fired, 0u);
   ExpectSetEquivalent(&store, *program, result->program);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Jobs, GuardedPipelineTest, ::testing::Values(size_t{0}, size_t{4}),
+    [](const ::testing::TestParamInfo<size_t>& info) {
+      return "jobs" + std::to_string(info.param);
+    });
+
+TEST(GuardedPipelineGroupTest, DemotionRerunsOnlyItsOwnGroup) {
+  // Two independent dependency groups. A fault in a/1 sends a/1's group
+  // down the ladder; b/1's group is built once, not once per retry.
+  TermStore store;
+  auto program = reader::ParseProgramText(&store, R"(
+b(X) :- r(X), s(X).
+r(1). s(1).
+a(X) :- p(X), q(X).
+p(1). q(1).
+)");
+  ASSERT_TRUE(program.ok());
+  std::atomic<int> b_builds{0};
+  TransformFaultPlan plan;
+  plan.stage_error = [&](const PredId& pred, const char* stage) {
+    const std::string name = reader::PredName(store, pred);
+    if (name == "b/1" && std::string(stage) == "build") ++b_builds;
+    if (name == "a/1" && std::string(stage) == "goal_order") {
+      return prore::Status::Internal("sabotaged goal_order stage");
+    }
+    return prore::Status::OK();
+  };
+  PipelineOptions options;
+  options.reorder.specialize_modes = false;  // one version per predicate
+  options.fault = &plan;
+  auto result = GuardedPipeline(&store, options).Run(*program);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  const PredOutcome* a = FindOutcome(result->report, "a/1");
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->level, LadderLevel::kClauseOrderOnly);
+  EXPECT_EQ(a->attempts, 2);
+  EXPECT_EQ(b_builds.load(), 1);
 }
 
 // ---- Watchdog unit behavior ------------------------------------------------

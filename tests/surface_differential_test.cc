@@ -1,9 +1,11 @@
 // Cross-surface differential: every way of running the optimizer must emit
-// the program and the pipeline report of the plain whole-program library
-// run, byte for byte. The surfaces are the library at jobs 0, 1, 2 and 4
-// (each with no cache, a cold cache and a warm cache), the prore CLI at
-// --jobs=0|1|4, and the prored server's reorder op, cold and warm. The
-// inputs are the paper's corpus, examples/prolog/*.pl and fuzz programs.
+// the program and the pipeline report of the plain library run at jobs=0,
+// byte for byte. The surfaces are the library at jobs 0, 1, 2 and 4 (each
+// with no cache, a cold cache and a warm cache, which must replay every
+// dependency group), the prore CLI at --jobs=0|1|4, and the prored
+// server's reorder op, cold and warm. The inputs are the paper's corpus,
+// examples/prolog/*.pl and fuzz programs, each under the default options
+// and with the unfold and factor pre-passes on.
 
 #include <gtest/gtest.h>
 
@@ -20,6 +22,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/frame_io.h"
@@ -74,9 +77,12 @@ const std::vector<Case>& Cases() {
 struct Output {
   std::string program;
   std::string report;
+  size_t cache_hits = 0;
+  size_t cache_misses = 0;
 };
 
-Output RunLibrary(const std::string& source, size_t jobs,
+/// `transforms`: the unfold and factor pre-passes on (--unfold --factor).
+Output RunLibrary(const std::string& source, bool transforms, size_t jobs,
                   core::AnalysisCache* cache) {
   term::TermStore store;
   auto program = reader::ParseProgramText(&store, source);
@@ -85,11 +91,13 @@ Output RunLibrary(const std::string& source, size_t jobs,
   core::PipelineOptions options;
   options.jobs = jobs;
   options.cache = cache;
+  options.unfold = options.factor = transforms;
   auto result = core::GuardedPipeline(&store, options).Run(*program);
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   if (!result.ok()) return {};
   return {reader::WriteProgram(store, result->program),
-          result->report.ToJson()};
+          result->report.ToJson(), result->report.cache_hits,
+          result->report.cache_misses};
 }
 
 std::string ReadFile(const std::string& path) {
@@ -101,7 +109,7 @@ std::string ReadFile(const std::string& path) {
 
 /// prore --jobs=N --report=json: the program on stdout, the report as the
 /// one stderr line that is a JSON object.
-Output RunCli(const std::string& source, size_t jobs) {
+Output RunCli(const std::string& source, bool transforms, size_t jobs) {
   static std::atomic<int> counter{0};
   const std::string base =
       StrFormat("%s/surface_%d_%d", ::testing::TempDir().c_str(), ::getpid(),
@@ -111,8 +119,9 @@ Output RunCli(const std::string& source, size_t jobs) {
     in << source;
   }
   const std::string cmd = StrFormat(
-      "'%s' --jobs=%zu --report=json '%s.pl' > '%s.out' 2> '%s.err'",
-      PRORE_CLI_PATH, jobs, base.c_str(), base.c_str(), base.c_str());
+      "'%s'%s --jobs=%zu --report=json '%s.pl' > '%s.out' 2> '%s.err'",
+      PRORE_CLI_PATH, transforms ? " --unfold --factor" : "", jobs,
+      base.c_str(), base.c_str(), base.c_str());
   const int status = std::system(cmd.c_str());
   Output out;
   out.program = ReadFile(base + ".out");
@@ -155,7 +164,7 @@ JsonValue Call(const std::string& socket_path, const JsonValue& req) {
 }
 
 /// prored's reorder op on a fresh server: the cold reply, then the warm one.
-std::vector<Output> RunServer(const std::string& source) {
+std::vector<Output> RunServer(const std::string& source, bool transforms) {
   static std::atomic<int> counter{0};
   server::ServerOptions options;
   options.socket_path = StrFormat("/tmp/prore_surface_%d_%d.sock", ::getpid(),
@@ -170,6 +179,8 @@ std::vector<Output> RunServer(const std::string& source) {
   EXPECT_EQ(Call(options.socket_path, load).GetString("status"), "ok");
   JsonValue reorder = JsonValue::Object();
   reorder.Set("op", JsonValue::String("reorder"));
+  reorder.Set("unfold", JsonValue::Bool(transforms));
+  reorder.Set("factor", JsonValue::Bool(transforms));
   for (int pass = 0; pass < 2; ++pass) {
     JsonValue reply = Call(options.socket_path, reorder);
     EXPECT_EQ(reply.GetString("status"), "ok") << reply.Dump();
@@ -180,11 +191,15 @@ std::vector<Output> RunServer(const std::string& source) {
   return out;
 }
 
-class SurfaceDifferentialTest : public ::testing::TestWithParam<size_t> {};
+/// A case, and whether the unfold and factor pre-passes are on.
+using Param = std::tuple<size_t, bool>;
+
+class SurfaceDifferentialTest : public ::testing::TestWithParam<Param> {};
 
 TEST_P(SurfaceDifferentialTest, EverySurfaceEmitsTheWholeProgramOutput) {
-  const Case& c = Cases()[GetParam()];
-  const Output reference = RunLibrary(c.source, 0, nullptr);
+  const Case& c = Cases()[std::get<0>(GetParam())];
+  const bool transforms = std::get<1>(GetParam());
+  const Output reference = RunLibrary(c.source, transforms, 0, nullptr);
   ASSERT_FALSE(reference.program.empty());
   auto expect_same = [&](const Output& got, const std::string& surface) {
     EXPECT_EQ(got.program, reference.program) << surface;
@@ -193,15 +208,23 @@ TEST_P(SurfaceDifferentialTest, EverySurfaceEmitsTheWholeProgramOutput) {
 
   for (size_t jobs : {size_t{0}, size_t{1}, size_t{2}, size_t{4}}) {
     const std::string at = StrFormat("library jobs=%zu", jobs);
-    expect_same(RunLibrary(c.source, jobs, nullptr), at + ", no cache");
+    expect_same(RunLibrary(c.source, transforms, jobs, nullptr),
+                at + ", no cache");
     core::AnalysisCache cache;
-    expect_same(RunLibrary(c.source, jobs, &cache), at + ", cold cache");
-    expect_same(RunLibrary(c.source, jobs, &cache), at + ", warm cache");
+    const Output cold = RunLibrary(c.source, transforms, jobs, &cache);
+    expect_same(cold, at + ", cold cache");
+    const Output warm = RunLibrary(c.source, transforms, jobs, &cache);
+    expect_same(warm, at + ", warm cache");
+    // The warm run replays every dependency group.
+    const size_t groups = cold.cache_hits + cold.cache_misses;
+    EXPECT_GT(groups, 0u) << at;
+    EXPECT_EQ(warm.cache_hits, groups) << at;
   }
   for (size_t jobs : {size_t{0}, size_t{1}, size_t{4}}) {
-    expect_same(RunCli(c.source, jobs), StrFormat("prore --jobs=%zu", jobs));
+    expect_same(RunCli(c.source, transforms, jobs),
+                StrFormat("prore --jobs=%zu", jobs));
   }
-  const std::vector<Output> served = RunServer(c.source);
+  const std::vector<Output> served = RunServer(c.source, transforms);
   ASSERT_EQ(served.size(), 2u);
   expect_same(served[0], "prored reorder, cold cache");
   expect_same(served[1], "prored reorder, warm cache");
@@ -209,9 +232,11 @@ TEST_P(SurfaceDifferentialTest, EverySurfaceEmitsTheWholeProgramOutput) {
 
 INSTANTIATE_TEST_SUITE_P(
     Surfaces, SurfaceDifferentialTest,
-    ::testing::Range<size_t>(0, Cases().size()),
-    [](const ::testing::TestParamInfo<size_t>& info) {
-      return Cases()[info.param].name;
+    ::testing::Combine(::testing::Range<size_t>(0, Cases().size()),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<Param>& info) {
+      return Cases()[std::get<0>(info.param)].name +
+             (std::get<1>(info.param) ? "_unfold_factor" : "");
     });
 
 }  // namespace

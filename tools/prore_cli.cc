@@ -412,12 +412,11 @@ int main(int argc, char** argv) {
       std::string changed;
       if (r.clauses_changed) changed += "clauses ";
       if (r.goals_changed) changed += "goals";
-      if (changed.empty()) changed = "-";
       std::fprintf(stderr, "%-28s %-8s %14.1f %14.1f %s\n",
                    prore::reader::PredName(store, r.pred).c_str(),
                    prore::analysis::ModeString(r.mode).c_str(),
                    r.predicted_original_cost, r.predicted_new_cost,
-                   changed.c_str());
+                   changed.empty() ? "-" : changed.c_str());
     }
   }
 
