@@ -29,8 +29,7 @@ std::vector<CallKey> CollectSeeds(const TermStore& store,
                                   const reader::Program& program,
                                   const CallGraph& graph,
                                   const Declarations& decls,
-                                  const ModeAnalysis* modes,
-                                  const AbsintOptions& opts) {
+                                  const ModeAnalysis* modes) {
   std::vector<CallKey> seeds;
   std::vector<std::string> seen;
   if (modes != nullptr) {
@@ -48,7 +47,7 @@ std::vector<CallKey> CollectSeeds(const TermStore& store,
       for (const ModePair& pair : declared) {
         AddSeed(store, &seeds, &seen, root, pair.input);
       }
-    } else if (root.arity <= opts.max_enumerated_arity) {
+    } else if (root.arity <= kMaxEnumeratedArity) {
       uint32_t combos = 1u << root.arity;
       for (uint32_t bits = 0; bits < combos; ++bits) {
         Mode m(root.arity);
@@ -75,7 +74,7 @@ prore::Result<AbsintResult> RunAbsint(const TermStore& store,
   AbsintResult result;
   DependencyGroups groups = ComputeDependencyGroups(graph);
   std::vector<CallKey> seeds =
-      CollectSeeds(store, program, graph, decls, modes, opts);
+      CollectSeeds(store, program, graph, decls, modes);
 
   SolverOptions solver_opts;
   solver_opts.widen_after = opts.widen_after;

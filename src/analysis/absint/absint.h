@@ -21,9 +21,6 @@ struct AbsintOptions {
   size_t widen_after = 4;
   /// Per-key update cap (forced Top past it).
   size_t max_updates_per_key = 64;
-  /// Entry predicates without declared modes are seeded in every {+,-}
-  /// pattern up to this arity (mirrors mode inference).
-  uint32_t max_enumerated_arity = 6;
   /// Step/wall-clock budget, armed once per fixpoint (groundness and
   /// determinism each get the full budget; one step per Transfer). Zero
   /// fields disable it; a trip surfaces as kResourceExhausted carrying

@@ -28,7 +28,7 @@ namespace prore::analysis {
 ///  - the directive list and the full defined-predicate name set: legal-
 ///    mode declarations change analysis results anywhere, and the set of
 ///    program names feeds version-name collision avoidance
-///    (core::GroupContext::program_preds);
+///    (core::ProgramFacts::scc_rank);
 ///  - per group, the caller facts of its members (and, through the
 ///    callee hashes, of its cone): cut-freezing and the analyzed call
 ///    patterns flow caller -> callee, so a caller edit can change a

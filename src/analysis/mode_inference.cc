@@ -71,6 +71,9 @@ AbstractEnv EnvFromHead(const TermStore& store, TermRef head,
 
 namespace {
 
+/// Fixpoint iteration bound per (predicate, mode).
+constexpr size_t kMaxIterations = 64;
+
 struct KeyHashing {
   static std::string Key(const TermStore& store, const PredId& id,
                          const Mode& mode) {
@@ -106,7 +109,7 @@ class Inferencer {
       const auto& declared = decls_.legal_modes.PairsFor(root);
       if (!declared.empty()) {
         for (const ModePair& pair : declared) root_modes.push_back(pair.input);
-      } else if (root.arity <= opts_.max_enumerated_arity) {
+      } else if (root.arity <= kMaxEnumeratedArity) {
         speculative_roots = true;
         // Every {+,-} combination, the way the paper's Table II calls each
         // predicate in each mode.
@@ -133,7 +136,7 @@ class Inferencer {
     // against the current table until nothing changes — the global least
     // fixpoint.
     stabilizing_ = true;
-    for (size_t round = 0; round < opts_.max_iterations; ++round) {
+    for (size_t round = 0; round < kMaxIterations; ++round) {
       bool changed = false;
       // Recomputing may add keys; iterate over a snapshot.
       std::vector<std::string> keys;
@@ -219,7 +222,7 @@ class Inferencer {
       it->second.speculative = false;  // reached from a declared walk too
     }
     in_progress_.insert(key);
-    for (size_t iter = 0; iter < opts_.max_iterations; ++iter) {
+    for (size_t iter = 0; iter < kMaxIterations; ++iter) {
       bool used_unstable = false;
       Mode next;
       prore::Status st = ComputeOnce(id, input, &next, &used_unstable);

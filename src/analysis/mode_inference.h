@@ -21,13 +21,12 @@ namespace prore::analysis {
 /// the paper's hand-written file of facts about built-ins.
 void AddLibraryModes(term::TermStore* store, ModeTable* table);
 
+/// Entry predicates with no declared modes are analyzed in every {+,-}
+/// mode when their arity is at most this; above it, a single all-'?' mode
+/// is used. Mode inference and absint seed their entries alike.
+inline constexpr uint32_t kMaxEnumeratedArity = 6;
+
 struct InferenceOptions {
-  /// Entry predicates with no declared modes are analyzed in every {+,-}
-  /// mode when their arity is at most this; above it, a single all-'?'
-  /// mode is used.
-  uint32_t max_enumerated_arity = 6;
-  /// Fixpoint iteration bound per (predicate, mode).
-  size_t max_iterations = 64;
   /// Step/wall-clock budget for the whole inference (one step per clause
   /// sweep of a (predicate, mode) key). Zero fields disable the watchdog;
   /// a trip surfaces as kResourceExhausted carrying

@@ -20,6 +20,9 @@ using term::PredId;
 using term::TermRef;
 using term::TermStore;
 
+/// Safety valve for A*: expansions per search.
+constexpr size_t kMaxExpansions = 200000;
+
 std::vector<uint32_t> GoalOrderSearch::CulpritVars(const BodyNode& node) const {
   std::vector<uint32_t> out;
   for (TermRef v : analysis::ModeSensitiveVars(*store_, node, *fixity_)) {
@@ -211,7 +214,7 @@ prore::Result<OrderResult> GoalOrderSearch::AStar(
   best.cost_all = std::numeric_limits<double>::infinity();
   best.order = elements;
 
-  while (!open.empty() && expansions < options_.max_expansions) {
+  while (!open.empty() && expansions < kMaxExpansions) {
     Node node = open.top();
     open.pop();
     ++expansions;

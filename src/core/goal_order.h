@@ -25,8 +25,6 @@ struct GoalOrderOptions {
   /// Ablation: order greedily by Warren's alternatives factor instead of
   /// minimizing the Markov-chain cost.
   bool warren_heuristic = false;
-  /// Safety valve for A*.
-  size_t max_expansions = 200000;
 };
 
 /// A semifixity constraint on one element: when the element executes, each

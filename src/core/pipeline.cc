@@ -5,14 +5,12 @@
 #include <exception>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 
 #include "analysis/content_hash.h"
 #include "common/json.h"
 #include "common/str_util.h"
 #include "common/thread_pool.h"
-#include "core/restrictions.h"
 #include "lint/validate.h"
 #include "reader/parser.h"
 #include "reader/writer.h"
@@ -78,14 +76,13 @@ std::vector<T> Reinterned(term::TermStore* store,
 /// (with absint's determinism there). A group's output depends on them
 /// for its members and cone, so they key its cache entry.
 analysis::CallerFacts CallerFacts(const std::vector<PredId>& preds,
-                                  const analysis::PredSet& frozen,
-                                  const CallPatterns& patterns) {
-  const analysis::ModeAnalysis& modes = patterns.modes;
-  const analysis::absint::AbsintResult* absint = patterns.absint.get();
+                                  const ProgramFacts& facts) {
+  const analysis::ModeAnalysis& modes = facts.modes;
+  const analysis::absint::AbsintResult* absint = facts.absint.get();
   analysis::CallerFacts out;
   for (const PredId& p : preds) {
     std::string& f = out[p];
-    if (frozen.count(p) > 0) f += "frozen;";
+    if (facts.frozen.count(p) > 0) f += "frozen;";
     if (auto it = modes.observed_inputs.find(p);
         it != modes.observed_inputs.end()) {
       for (const analysis::Mode& m : it->second) f += analysis::ModeString(m);
@@ -111,6 +108,28 @@ analysis::CallerFacts CallerFacts(const std::vector<PredId>& preds,
     }
   }
   return out;
+}
+
+/// Fingerprint of the options a caller sets that change the output, folded
+/// into every cache key so an entry only replays under the options that
+/// produced it. (The ladder's own quarantine sets are keyed through the
+/// earlier passes' report.)
+uint64_t OptionsFingerprint(const PipelineOptions& options) {
+  const ReorderOptions& ro = options.reorder;
+  const GoalOrderOptions& search = ro.goal_search;
+  uint64_t h = analysis::HashMix(options.cache_salt, 0x6f7074696f6e73u);
+  for (uint64_t v :
+       {uint64_t{options.unfold}, uint64_t{options.factor},
+        uint64_t{options.unfold_options.max_rounds},
+        uint64_t{options.unfold_options.max_body_goals},
+        uint64_t{ro.reorder_clauses}, uint64_t{ro.reorder_goals},
+        uint64_t{ro.specialize_modes}, uint64_t{ro.runtime_guards},
+        uint64_t{ro.validate_output}, uint64_t{ro.absint},
+        uint64_t{search.exhaustive_threshold}, uint64_t{search.use_astar},
+        uint64_t{search.warren_heuristic}}) {
+    h = analysis::HashMix(h, v);
+  }
+  return h;
 }
 
 /// Runs `stage`, a Result-returning callable: a thrown failure comes back
@@ -297,7 +316,7 @@ prore::Result<PipelineResult> GuardedPipeline::Run(
   };
 
   for (;;) {
-    if (prore::Status ctx = options_.exec.Check(); !ctx.ok()) {
+    if (prore::Status ctx = options_.reorder.exec.Check(); !ctx.ok()) {
       return identity(ctx.ToString());
     }
 
@@ -337,10 +356,10 @@ prore::Result<PipelineResult> GuardedPipeline::Run(
     }
 
     // ---- Stage 2: the dependency groups --------------------------------
-    // A group's result depends on what earlier passes settled (its
-    // members' rungs, absint on or off): key entries by that too.
+    // A group's result depends on the options and on what earlier passes
+    // settled (its members' rungs, absint on or off): key entries by both.
     pass_options.cache_salt =
-        analysis::HashBytes(options_.cache_salt, earlier.ToJson());
+        analysis::HashBytes(OptionsFingerprint(options_), earlier.ToJson());
     auto pass = Guarded("pipeline", [&] {
       return GuardedPipeline(store_, pass_options)
           .RunGroups(original, *working, earlier);
@@ -377,7 +396,7 @@ prore::Result<PipelineResult> GuardedPipeline::Run(
 }
 
 prore::Result<PipelineResult> GuardedPipeline::RunGroup(
-    const reader::Program& sub, const GroupContext& group,
+    const reader::Program& cone, const GroupContext& group,
     const Outcomes& carried) {
   const std::vector<PredId>& preds = *group.members;
   // The members' ladder state, picked up where earlier passes left it.
@@ -421,7 +440,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroup(
   auto verbatim = [&]() -> prore::Result<PipelineResult> {
     PipelineResult result;
     for (const PredId& p : preds) {
-      for (const reader::Clause& clause : sub.ClausesOf(p)) {
+      for (const reader::Clause& clause : cone.ClausesOf(p)) {
         result.program.AddClause(*store_, clause);
       }
     }
@@ -442,7 +461,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroup(
     report.runs = static_cast<int>(run);
 
     // A cancelled or past-deadline context stops starting new attempts.
-    if (prore::Status ctx = options_.exec.Check(); !ctx.ok()) {
+    if (prore::Status ctx = options_.reorder.exec.Check(); !ctx.ok()) {
       return identity_fallback(ctx.ToString());
     }
 
@@ -453,9 +472,6 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroup(
       }
       if (o.level == LadderLevel::kIdentity) ro.identity_preds.insert(o.pred);
     }
-    ro.cost_watchdog = options_.cost_watchdog;
-    ro.exec = options_.exec;
-    if (options_.fault != nullptr) ro.fault = options_.fault;
     PredOutcome* blamed = nullptr;
     auto user_cb = options_.reorder.on_pred_error;
     ro.on_pred_error = [&](const PredId& p, const prore::Status& st) {
@@ -464,7 +480,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroup(
     };
 
     auto rr = Guarded("reorderer",
-                      [&] { return Reorderer(store_, ro).Run(sub, &group); });
+                      [&] { return Reorderer(store_, ro).Run(cone, group); });
 
     if (!rr.ok()) {
       const prore::FaultClass fc = prore::ClassifyFaultStatus(rr.status());
@@ -488,9 +504,10 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroup(
           o.triggers.push_back("retry (transient): " +
                                rr.status().ToString());
           if (!prore::BackoffSleep(options_.retry.ToBackoff(), o.retries,
-                                   options_.exec)
+                                   options_.reorder.exec)
                    .ok()) {
-            return identity_fallback(options_.exec.Check().ToString());
+            return identity_fallback(
+                options_.reorder.exec.Check().ToString());
           }
           continue;
         }
@@ -555,35 +572,24 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
     const PipelineReport& earlier) {
   Outcomes carried;
   for (const PredOutcome& o : earlier.preds) carried.emplace(o.pred, o);
-  // Condensation and the analyses whose facts flow caller -> callee
-  // (cut-freezing, mode inference, absint) run at most once, on the
-  // calling thread, over the whole program the groups are built from.
-  PRORE_ASSIGN_OR_RETURN(auto decls,
-                         analysis::ParseDeclarations(*store_, working));
-  PRORE_ASSIGN_OR_RETURN(auto graph,
-                         analysis::CallGraph::Build(*store_, working));
-  PRORE_ASSIGN_OR_RETURN(auto frozen,
-                         FrozenDescendants(*store_, working, graph));
+  // The whole-program facts and the condensation are derived once, on the
+  // calling thread, over the program the groups are built from; every
+  // group run reads them.
+  PRORE_ASSIGN_OR_RETURN(ProgramFacts facts,
+                         ProgramFacts::Build(*store_, working));
   const analysis::DependencyGroups dg =
-      analysis::ComputeDependencyGroups(graph);
+      analysis::ComputeDependencyGroups(facts.graph);
   const std::vector<PredId>& preds = working.pred_order();
-  const analysis::PredSet all_preds(preds.begin(), preds.end());
 
-  // Mode inference and absint run when some group has to be built, or to
-  // key a program the cache has not seen.
-  std::optional<CallPatterns> patterns;
+  // The analyses run when some group has to be built, or to key a program
+  // the cache has not seen.
+  bool analyzed = false;
   auto analyze = [&]() -> prore::Status {
-    ReorderOptions ro = options_.reorder;
-    ro.inference.watchdog = options_.inference_watchdog;
-    ro.absint_watchdog = options_.absint_watchdog;
-    ro.exec = options_.exec;
-    PRORE_ASSIGN_OR_RETURN(
-        patterns, AnalyzeCallPatterns(*store_, working, graph, decls, ro));
-    return prore::Status::OK();
+    analyzed = true;
+    return facts.Analyze(*store_, working, options_.reorder);
   };
 
   struct GroupRun {
-    term::TermStore store;  ///< private arena; symbols adopted from main
     /// Non-ok until the task actually runs: a task dropped by
     /// cancellation (or lost to a worker exception) must land its group
     /// on the identity merge path, not silently contribute an empty
@@ -595,6 +601,9 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
     /// Replayed from the cache: `result` holds the entry, its clauses
     /// parsed into the main store.
     bool hit = false;
+    /// A computed group's program, rendered before its store died; the
+    /// merge parses it into `result`, as it does a cache hit's.
+    std::string text;
     /// Recomputing it gives the same result, and so does recomputing
     /// every callee group.
     bool reproducible = false;
@@ -628,7 +637,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
     } else {
       PRORE_RETURN_IF_ERROR(analyze());
       keys = analysis::FoldCallerFacts(*store_, dg, hashes,
-                                       CallerFacts(preds, frozen, *patterns));
+                                       CallerFacts(preds, facts));
       options_.cache->InsertGroupKeys(program_key, keys);
     }
     for (size_t gi = 0; gi < dg.size(); ++gi) {
@@ -664,7 +673,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
       gr.result = std::move(replay);
     }
   }
-  if (cache_hits < dg.size() && !patterns.has_value()) {
+  if (cache_hits < dg.size() && !analyzed) {
     PRORE_RETURN_IF_ERROR(analyze());
   }
   for (size_t gi = 0; gi < dg.size(); ++gi) {
@@ -684,9 +693,9 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
   // stop_on_degrade can cancel the siblings from inside a task the
   // moment one group degrades (prore --strict: the exit code is already
   // decided, finishing the other groups buys nothing).
-  prore::CancellationSource group_cancel(options_.exec.token);
+  prore::CancellationSource group_cancel(options_.reorder.exec.token);
   const prore::ExecContext group_exec =
-      options_.exec.WithToken(group_cancel.token());
+      options_.reorder.exec.WithToken(group_cancel.token());
 
   {
     // jobs <= 1 is the inline pool: Submit runs the task at once, and
@@ -703,43 +712,41 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
 
     // One task per group. Each task owns a private TermStore whose symbol
     // table is a copy of the main one (so PredIds carry over), copies its
-    // dependency cone in for the analyses, and runs the guarded pipeline
-    // over that subprogram against the cone's published summaries.
-    // Groups share nothing mutable: watchdog deadlines, fault boundaries
-    // and the degradation ladder all live inside the task.
+    // dependency cone in for the legality oracle and the cost model, and
+    // runs the guarded pipeline over that cone against the cone's
+    // published summaries. It hands back its program as text, so the store
+    // dies with the task. Groups share nothing mutable: watchdog
+    // deadlines, fault boundaries and the degradation ladder all live
+    // inside the task.
     auto run_group = [&](size_t gi) {
       GroupRun& gr = runs[gi];
       if (group_cancel.Cancelled()) return;  // keep the never-ran status
       gr.result = Guarded("pipeline group", [&] {
-        gr.store.AdoptSymbols(*store_);
-        GroupContext context{&dg.groups[gi], &frozen, &all_preds, &*patterns,
-                             {}};
-        analysis::PredSet in_sub(dg.groups[gi].begin(), dg.groups[gi].end());
+        term::TermStore store;
+        store.AdoptSymbols(*store_);
+        GroupContext context{&dg.groups[gi], &facts, {}};
+        analysis::PredSet in_cone(dg.groups[gi].begin(), dg.groups[gi].end());
         for (size_t d : dg.TransitiveDeps(gi)) {
-          in_sub.insert(dg.groups[d].begin(), dg.groups[d].end());
+          in_cone.insert(dg.groups[d].begin(), dg.groups[d].end());
           context.callees.push_back(&runs[d].summary);
         }
-        reader::Program sub;
+        reader::Program cone;
         for (const PredId& p : preds) {
-          if (in_sub.count(p) == 0) continue;
+          if (in_cone.count(p) == 0) continue;
           for (const reader::Clause& c : working.ClausesOf(p)) {
             std::unordered_map<uint32_t, term::TermRef> vars;
             reader::Clause copy;
-            copy.head = gr.store.CopyFrom(*store_, c.head, &vars);
-            copy.body = gr.store.CopyFrom(*store_, c.body, &vars);
-            sub.AddClause(gr.store, copy);
+            copy.head = store.CopyFrom(*store_, c.head, &vars);
+            copy.body = store.CopyFrom(*store_, c.body, &vars);
+            cone.AddClause(store, copy);
           }
         }
-        // Declarations (legal modes etc.) may concern any predicate; copy
-        // them all and let each group pick out what it needs.
-        for (term::TermRef d : working.directives()) {
-          sub.AddDirective(gr.store.CopyFrom(*store_, d));
-        }
-
         PipelineOptions po = options_;
-        po.exec = group_exec;
-        return GuardedPipeline(&gr.store, std::move(po))
-            .RunGroup(sub, context, carried);
+        po.reorder.exec = group_exec;
+        auto result = GuardedPipeline(&store, std::move(po))
+                          .RunGroup(cone, context, carried);
+        if (result.ok()) gr.text = reader::WriteProgram(store, result->program);
+        return result;
       });
       if (gr.result.ok()) {
         gr.summary = std::move(gr.result->summary);
@@ -778,7 +785,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
   }
   // A cancel or an expired deadline lands on the identity program however
   // far the groups got, so the output never depends on their timing.
-  PRORE_RETURN_IF_ERROR(options_.exec.Check());
+  PRORE_RETURN_IF_ERROR(options_.reorder.exec.Check());
 
   // ---- Deterministic merge ---------------------------------------------
   // Reports, diagnostics and cache entries are gathered in group order —
@@ -817,6 +824,10 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
       continue;  // no chunks: the members' original clauses are emitted
     }
     PipelineResult& pr = *gr.result;
+    if (!gr.hit) {
+      PRORE_ASSIGN_OR_RETURN(pr.program,
+                             reader::ParseProgramText(store_, gr.text));
+    }
     group_runs = std::max(group_runs, pr.report.runs);
     if (!pr.report.global_trigger.empty() && rep.global_trigger.empty()) {
       rep.global_trigger = prore::StrFormat(
@@ -869,7 +880,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
       continue;
     }
     const auto& [gi, chunk] = it->second;
-    GroupRun& gr = runs[gi];
+    const reader::Program& group_program = runs[gi].result->program;
     GroupCacheEntry* entry = entries[gi].get();
     for (const PredId& q : chunk) {
       // An identity member ships the original clause terms themselves.
@@ -877,18 +888,12 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
       const bool verbatim =
           o != outcomes.end() && o->second.level == LadderLevel::kIdentity;
       for (const reader::Clause& c :
-           (verbatim ? original : gr.result->program).ClausesOf(q)) {
-        reader::Clause copy = c;
-        if (!verbatim && !gr.hit) {  // hits were parsed into the main store
-          std::unordered_map<uint32_t, term::TermRef> vars;
-          copy.head = store_->CopyFrom(gr.store, c.head, &vars);
-          copy.body = store_->CopyFrom(gr.store, c.body, &vars);
-        }
-        out.program.AddClause(*store_, copy);
+           (verbatim ? original : group_program).ClausesOf(q)) {
+        out.program.AddClause(*store_, c);
         if (entry != nullptr) {
-          // Rendered from the main-store copy the output itself holds, so
-          // replaying the entry reproduces these bytes.
-          entry->program_text += reader::WriteClause(*store_, copy);
+          // Rendered from the clause the output itself holds, so replaying
+          // the entry reproduces these bytes.
+          entry->program_text += reader::WriteClause(*store_, c);
           entry->program_text += '\n';
         }
       }
@@ -903,8 +908,8 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
   if (!out_of_band_failure.empty() && rep.global_trigger.empty()) {
     rep.global_trigger = out_of_band_failure;
   }
-  if (patterns.has_value() && patterns->absint != nullptr) {
-    out.absint_report = analysis::absint::DumpAbsint(*patterns->absint);
+  if (facts.absint != nullptr) {
+    out.absint_report = analysis::absint::DumpAbsint(*facts.absint);
   }
   rep.runs += group_runs;
   rep.cache_hits = cache_hits;

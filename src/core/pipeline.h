@@ -9,10 +9,8 @@
 #include "common/cancellation.h"
 #include "common/result.h"
 #include "common/retry.h"
-#include "common/watchdog.h"
 #include "core/analysis_cache.h"
 #include "core/disjunction.h"
-#include "core/fault.h"
 #include "core/reorderer.h"
 #include "core/unfold.h"
 #include "lint/diagnostic.h"
@@ -39,6 +37,10 @@ enum class LadderLevel {
 const char* LadderLevelName(LadderLevel level);
 
 struct PipelineOptions {
+  /// The reorderer's options, which the whole pipeline reads: their
+  /// watchdog budgets, fault plan and ExecContext cover every stage. An
+  /// absint watchdog trip disables that stage and re-runs the analyses; a
+  /// cancel or an expired deadline lands on the identity program.
   ReorderOptions reorder;
   /// Worker threads; 0 and 1 both mean none. Only the thread count: the
   /// call graph is always condensed into dependency groups
@@ -51,24 +53,6 @@ struct PipelineOptions {
   UnfoldOptions unfold_options;
   /// Run disjunction factoring (prore --factor).
   bool factor = false;
-  /// Budget for mode inference (0 fields = unlimited).
-  prore::WatchdogBudget inference_watchdog;
-  /// Budget for cost-model evaluation (0 fields = unlimited); covers the
-  /// goal-order search transitively.
-  prore::WatchdogBudget cost_watchdog;
-  /// Budget for the abstract-interpretation fixpoints (0 fields =
-  /// unlimited). A trip does not quarantine a predicate: the whole stage
-  /// is disabled (reorder.absint = false) and the analyses re-run — absint
-  /// is an accuracy upgrade, not a correctness requirement.
-  prore::WatchdogBudget absint_watchdog;
-  /// Transform-stage fault injection (tests only).
-  const TransformFaultPlan* fault = nullptr;
-  /// Cancellation/deadline scope for the whole run: checked before every
-  /// pipeline attempt and threaded into every analysis watchdog. A cancel
-  /// or an expired deadline lands the remaining work on the identity
-  /// program (recorded in PipelineReport::global_trigger) — the output
-  /// stays complete and correct, just unoptimized.
-  prore::ExecContext exec;
   /// Transient-fault retry policy: a predicate whose fault classifies as
   /// transient (watchdog trip, deadline brush, OOM) is retried with
   /// bounded exponential backoff up to retry.max_retries() times before
@@ -84,9 +68,10 @@ struct PipelineOptions {
   /// Only groups whose result reproduces, over callee groups whose results
   /// reproduce, are inserted.
   AnalysisCache* cache = nullptr;
-  /// Salt folded into every content hash; callers fingerprint the
-  /// transform options here so entries produced under different options
-  /// never collide. (prored derives it from the request's option set.)
+  /// Salt folded into every content hash, for what changes the output
+  /// but the pipeline cannot see (prored folds in the profile's
+  /// fingerprint). The options themselves are fingerprinted by the
+  /// pipeline, so entries produced under different options never collide.
   uint64_t cache_salt = 0;
   /// As soon as one group degrades, cancel the sibling groups (pending
   /// tasks dropped, running ones interrupted through their ExecContext),
@@ -232,10 +217,13 @@ class GuardedPipeline {
   prore::Result<PipelineResult> RunGroups(const reader::Program& original,
                                           const reader::Program& working,
                                           const PipelineReport& earlier);
-  /// The degradation ladder over one dependency group and its callee cone
-  /// (`sub`); only the members are built. A member demoted to kNoUnfold
-  /// ends the run at once, verbatim: the pre-passes must re-run without it.
-  prore::Result<PipelineResult> RunGroup(const reader::Program& sub,
+  /// The degradation ladder over one dependency group; `cone` holds the
+  /// group and its callee cone, copied into this pipeline's store, and
+  /// every whole-program fact comes from group.facts. Only the members are
+  /// built. A member demoted to kNoUnfold ends the run at once, verbatim:
+  /// the pre-passes must re-run without it. The result's program lives in
+  /// this pipeline's store.
+  prore::Result<PipelineResult> RunGroup(const reader::Program& cone,
                                          const GroupContext& group,
                                          const Outcomes& carried);
 

@@ -40,36 +40,59 @@ std::string Reorderer::VersionName(const TermStore& store, const PredId& id,
   return store.symbols().Name(id.name) + "_" + analysis::ModeSuffix(mode);
 }
 
-prore::Result<CallPatterns> AnalyzeCallPatterns(
-    const TermStore& store, const reader::Program& program,
-    const analysis::CallGraph& graph, const analysis::Declarations& decls,
-    const ReorderOptions& options) {
-  CallPatterns out;
-  analysis::InferenceOptions inference = options.inference;
-  inference.exec = options.exec;
-  PRORE_ASSIGN_OR_RETURN(
-      out.modes,
-      analysis::InferModes(store, program, graph, decls, inference));
-  if (!options.absint) return out;
-  analysis::absint::AbsintOptions ao;
-  ao.watchdog = options.absint_watchdog;
-  ao.exec = options.exec;
-  PRORE_ASSIGN_OR_RETURN(
-      auto absint, analysis::absint::RunAbsint(store, program, graph, decls,
-                                               &out.modes, ao));
-  out.absint =
-      std::make_unique<analysis::absint::AbsintResult>(std::move(absint));
-  // Fold the groundness success patterns into the guarantee table before
-  // the oracle captures it: '?' slots the local fixpoint left behind can
-  // become '+'/'-' here, which admits orderings legality would otherwise
-  // reject. legal_table is left alone — absint proves outputs, not that
-  // an input mode is legal for a recursive predicate.
-  analysis::absint::TightenModes(store, out.absint->groundness,
-                                 &out.modes.table);
+prore::Result<ProgramFacts> ProgramFacts::Build(
+    const TermStore& store, const reader::Program& program) {
+  ProgramFacts out;
+  PRORE_ASSIGN_OR_RETURN(out.decls,
+                         analysis::ParseDeclarations(store, program));
+  PRORE_ASSIGN_OR_RETURN(out.graph, analysis::CallGraph::Build(store, program));
+  const auto& sccs = out.graph.SccsBottomUp();
+  for (size_t rank = 0; rank < sccs.size(); ++rank) {
+    for (const PredId& p : sccs[rank]) out.scc_rank.emplace(p, rank);
+  }
+  PRORE_ASSIGN_OR_RETURN(out.frozen,
+                         FrozenDescendants(store, program, out.graph));
   return out;
 }
 
+prore::Status ProgramFacts::Analyze(const TermStore& store,
+                                    const reader::Program& program,
+                                    const ReorderOptions& options) {
+  analysis::InferenceOptions inference = options.inference;
+  inference.exec = options.exec;
+  PRORE_ASSIGN_OR_RETURN(
+      modes, analysis::InferModes(store, program, graph, decls, inference));
+  if (options.absint) {
+    analysis::absint::AbsintOptions ao;
+    ao.watchdog = options.absint_watchdog;
+    ao.exec = options.exec;
+    PRORE_ASSIGN_OR_RETURN(
+        auto result, analysis::absint::RunAbsint(store, program, graph, decls,
+                                                 &modes, ao));
+    absint =
+        std::make_unique<analysis::absint::AbsintResult>(std::move(result));
+    // Fold the groundness success patterns into the guarantee table before
+    // any oracle reads it: '?' slots the local fixpoint left behind can
+    // become '+'/'-' here, which admits orderings legality would otherwise
+    // reject. legal_table is left alone — absint proves outputs, not that
+    // an input mode is legal for a recursive predicate.
+    analysis::absint::TightenModes(store, absint->groundness, &modes.table);
+  }
+  PRORE_ASSIGN_OR_RETURN(fixity,
+                         analysis::AnalyzeFixity(store, program, graph));
+  analysis::LegalityOracle oracle(&store, &program, &graph, &modes);
+  return analysis::RefineSemifixity(store, program, graph, &oracle, &fixity);
+}
+
 namespace {
+
+/// Emit a §V-D guard only when the optimistic order is predicted at least
+/// this much cheaper (ratio of all-solutions costs).
+constexpr double kGuardMinGain = 1.15;
+/// Dispatchers enumerate 2^arity branches; skip beyond this arity.
+constexpr uint32_t kMaxDispatchArity = 6;
+/// Cap on generated versions per predicate.
+constexpr size_t kMaxVersionsPerPred = 64;
 
 /// Weakens '?' to '-' : safe (legality is upward-closed in instantiation)
 /// and gives the specializer a concrete {+,-} version to call.
@@ -84,8 +107,12 @@ Mode Weaken(const Mode& mode) {
 class Pipeline {
  public:
   Pipeline(TermStore* store, const reader::Program& original,
-           const ReorderOptions& options, const GroupContext* group)
-      : store_(store), original_(original), options_(options), group_(group) {}
+           const ReorderOptions& options, const GroupContext& group)
+      : store_(store),
+        original_(original),
+        options_(options),
+        group_(group),
+        facts_(*group.facts) {}
 
   prore::Result<ReorderResult> Run();
 
@@ -102,7 +129,7 @@ class Pipeline {
     bool emitted_under_original_name = false;
   };
 
-  prore::Status Setup();
+  void Setup();
   prore::Status ProcessQueue();
   std::string EnsureVersion(const PredId& pred, const Mode& mode);
   prore::Status BuildVersion(const PredId& pred, const Mode& mode,
@@ -114,10 +141,6 @@ class Pipeline {
     return external_.count(pred) > 0;
   }
   CalleeSummary Publish() const;
-  const std::vector<const CalleeSummary*>& Callees() const {
-    static const std::vector<const CalleeSummary*> kNone;
-    return group_ != nullptr ? group_->callees : kNone;
-  }
 
   // Phase A: reorder a body tree (no renaming).
   prore::Result<std::unique_ptr<BodyNode>> ReorderNode(const BodyNode& node,
@@ -152,18 +175,13 @@ class Pipeline {
   TermStore* store_;
   const reader::Program& original_;
   ReorderOptions options_;
-  const GroupContext* group_;  ///< null: `original_` is the whole program
+  const GroupContext& group_;
+  const ProgramFacts& facts_;
   /// External predicate -> its published versions.
   std::unordered_map<PredId, std::vector<const lint::VersionInfo*>,
                      term::PredIdHash>
       external_;
 
-  analysis::Declarations decls_;
-  analysis::CallGraph graph_;
-  analysis::FixityResult fixity_;
-  analysis::PredSet frozen_;
-  CallPatterns inferred_;  ///< when the run analyzes its own program
-  const CallPatterns* patterns_ = &inferred_;
   std::unique_ptr<analysis::LegalityOracle> oracle_;
   std::unique_ptr<cost::CostModel> costs_;
   std::unique_ptr<GoalOrderSearch> search_;
@@ -172,70 +190,42 @@ class Pipeline {
   std::vector<std::string> pending_;            // keys awaiting processing
   std::unordered_map<PredId, std::vector<std::string>, term::PredIdHash>
       versions_of_;                             // pred -> keys, in order
-  std::unordered_map<PredId, size_t, term::PredIdHash> scc_rank_;
   std::unordered_map<std::string, std::string> alias_;  // name -> canonical
   std::vector<PredModeReport> reports_;
   std::vector<lint::Diagnostic> diagnostics_;
 };
 
-prore::Status Pipeline::Setup() {
-  PRORE_ASSIGN_OR_RETURN(decls_,
-                         analysis::ParseDeclarations(*store_, original_));
-  PRORE_ASSIGN_OR_RETURN(graph_,
-                         analysis::CallGraph::Build(*store_, original_));
-  PRORE_ASSIGN_OR_RETURN(fixity_,
-                         analysis::AnalyzeFixity(*store_, original_, graph_));
-  PRORE_ASSIGN_OR_RETURN(frozen_,
-                         FrozenDescendants(*store_, original_, graph_));
-  if (group_ != nullptr) {
-    // Facts that flow caller -> callee come from the whole program: the
-    // subprogram cannot see how outside callers call its predicates.
-    frozen_.insert(group_->frozen->begin(), group_->frozen->end());
-    patterns_ = group_->patterns;
-  } else {
-    PRORE_ASSIGN_OR_RETURN(inferred_,
-                           AnalyzeCallPatterns(*store_, original_, graph_,
-                                               decls_, options_));
-  }
+void Pipeline::Setup() {
   oracle_ = std::make_unique<analysis::LegalityOracle>(
-      store_, &original_, &graph_, &patterns_->modes);
-  PRORE_RETURN_IF_ERROR(analysis::RefineSemifixity(
-      *store_, original_, graph_, oracle_.get(), &fixity_));
-  costs_ = std::make_unique<cost::CostModel>(store_, &original_, &graph_,
-                                             &decls_, oracle_.get());
-  if (patterns_->absint != nullptr) {
-    costs_->SetDeterminism(&patterns_->absint->determinism);
+      store_, &original_, &facts_.graph, &facts_.modes);
+  costs_ = std::make_unique<cost::CostModel>(store_, &original_, &facts_.graph,
+                                             &facts_.decls, oracle_.get());
+  if (facts_.absint != nullptr) {
+    costs_->SetDeterminism(&facts_.absint->determinism);
   }
   if (options_.profile != nullptr) costs_->SetEmpirical(options_.profile);
-  for (const CalleeSummary* callee : Callees()) {
+  for (const CalleeSummary* callee : group_.callees) {
     costs_->Preload(callee->stats);
     for (const lint::VersionInfo& v : callee->versions) {
       external_[v.pred].push_back(&v);
     }
   }
   costs_->ArmWatchdog(options_.cost_watchdog, options_.exec);
-  search_ = std::make_unique<GoalOrderSearch>(store_, costs_.get(), &fixity_,
+  search_ = std::make_unique<GoalOrderSearch>(store_, costs_.get(),
+                                              &facts_.fixity,
                                               options_.goal_search);
-  size_t rank = 0;
-  for (const auto& scc : graph_.SccsBottomUp()) {
-    for (const PredId& p : scc) scc_rank_[p] = rank;
-    ++rank;
-  }
-  // Declared-recursive predicates join the analysis's recursive set via
-  // the declarations; the call graph already found the structural ones.
-  return prore::Status::OK();
 }
 
 bool Pipeline::AllowReorder(const PredId& pred) const {
   if (options_.identity_preds.count(pred) > 0) return false;
-  if (frozen_.count(pred) > 0) return false;
-  if (fixity_.IsFixed(pred)) return false;
-  if (graph_.IsRecursive(pred) &&
-      options_.reorder_recursive_only_if_declared &&
-      !decls_.legal_modes.Has(pred)) {
-    return false;
-  }
-  return true;
+  if (facts_.frozen.count(pred) > 0) return false;
+  if (facts_.fixity.IsFixed(pred)) return false;
+  // Recursive predicates are reordered only when the user declared their
+  // legal modes (`:- legal_mode(...)`), the paper's §IV-D.7 position: "we
+  // assume for now that the programmer declares a predicate recursive and
+  // provides necessary information".
+  return !facts_.graph.IsRecursive(pred) ||
+         facts_.decls.legal_modes.Has(pred);
 }
 
 std::string Pipeline::EnsureVersion(const PredId& pred, const Mode& mode) {
@@ -245,15 +235,13 @@ std::string Pipeline::EnsureVersion(const PredId& pred, const Mode& mode) {
   // the suffix). Probe until free.
   auto taken = [&](const std::string& n) {
     PredId id{store_->symbols().Intern(n), pred.arity};
-    if (id == pred) return false;
-    return original_.Has(id) ||
-           (group_ != nullptr && group_->program_preds->count(id) > 0);
+    return id != pred && facts_.scc_rank.count(id) > 0;
   };
   while (taken(name)) name += "_v";
   std::string key = Key(pred, mode);
   if (versions_.count(key) == 0) {
     auto& list = versions_of_[pred];
-    if (list.size() >= options_.max_versions_per_pred) {
+    if (list.size() >= kMaxVersionsPerPred) {
       return store_->symbols().Name(pred.name);  // fall back to dispatcher
     }
     Version v;
@@ -272,8 +260,8 @@ prore::Status Pipeline::ProcessQueue() {
     // Bottom-up: lowest SCC rank first, so callers price reordered callees.
     size_t best = 0;
     for (size_t i = 1; i < pending_.size(); ++i) {
-      if (scc_rank_[versions_[pending_[i]].pred] <
-          scc_rank_[versions_[pending_[best]].pred]) {
+      if (facts_.scc_rank.at(versions_[pending_[i]].pred) <
+          facts_.scc_rank.at(versions_[pending_[best]].pred)) {
         best = i;
       }
     }
@@ -384,8 +372,8 @@ prore::Result<std::unique_ptr<BodyNode>> Pipeline::ReorderNode(
 
 prore::Result<std::unique_ptr<BodyNode>> Pipeline::ReorderSeq(
     const BodyNode& node, AbstractEnv* env, bool allow, bool* changed) {
-  PRORE_ASSIGN_OR_RETURN(ClausePlan plan,
-                         PlanClause(*store_, node, fixity_, graph_));
+  PRORE_ASSIGN_OR_RETURN(
+      ClausePlan plan, PlanClause(*store_, node, facts_.fixity, facts_.graph));
   std::vector<std::unique_ptr<BodyNode>> out_children;
   for (const Segment& segment : plan.segments) {
     std::vector<const BodyNode*> order = segment.elements;
@@ -420,7 +408,7 @@ TermRef Pipeline::RenameGoal(TermRef goal, const AbstractEnv& env) {
   PredId id = store_->pred_id(goal);
   if (!options_.specialize_modes) return goal;
   if (!original_.Has(id)) return goal;  // built-in or library predicate
-  if (id.arity == 0 || id.arity > options_.max_dispatch_arity) return goal;
+  if (id.arity == 0 || id.arity > kMaxDispatchArity) return goal;
   // Quarantined callees keep their original, unspecialized entry point.
   if (options_.identity_preds.count(id) > 0 ||
       options_.clause_order_only.count(id) > 0) {
@@ -600,7 +588,8 @@ prore::Status Pipeline::BuildVersion(const PredId& pred, const Mode& mode,
     }
     PRORE_ASSIGN_OR_RETURN(
         ClauseOrderResult co,
-        OrderClauses(*store_, original_, pred, mode, costs_.get(), fixity_));
+        OrderClauses(*store_, original_, pred, mode, costs_.get(),
+                     facts_.fixity));
     clause_order = co.order;
     out->clauses_changed = co.changed;
   }
@@ -665,7 +654,7 @@ prore::Status Pipeline::BuildVersion(const PredId& pred, const Mode& mode,
           };
           PRORE_ASSIGN_OR_RETURN(double normal_cost, cost_of(*rc.tree));
           PRORE_ASSIGN_OR_RETURN(double opt_cost, cost_of(*opt_tree));
-          if (opt_cost * options_.guard_min_gain < normal_cost) {
+          if (opt_cost * kGuardMinGain < normal_cost) {
             rc.optimistic_tree = std::move(opt_tree);
             goals_changed = true;
           }
@@ -731,7 +720,7 @@ prore::Status Pipeline::BuildVersion(const PredId& pred, const Mode& mode,
   term::Symbol version_sym = store_->symbols().Intern(out->name);
   bool rename = options_.specialize_modes && !clause_only;
   bool keep_name = !options_.specialize_modes || pred.arity == 0 ||
-                   pred.arity > options_.max_dispatch_arity || clause_only;
+                   pred.arity > kMaxDispatchArity || clause_only;
   out->emitted_under_original_name = keep_name;
   for (size_t i = 0; i < reordered.size(); ++i) {
     const ReorderedClause& rc = reordered[i];
@@ -1104,13 +1093,13 @@ CalleeSummary Pipeline::Publish() const {
 }
 
 prore::Result<ReorderResult> Pipeline::Run() {
-  PRORE_RETURN_IF_ERROR(Setup());
+  Setup();
 
   // Seed versions.
   for (const PredId& pred : original_.pred_order()) {
     if (External(pred)) continue;
     if (!options_.specialize_modes || pred.arity == 0 ||
-        pred.arity > options_.max_dispatch_arity ||
+        pred.arity > kMaxDispatchArity ||
         options_.identity_preds.count(pred) > 0 ||
         options_.clause_order_only.count(pred) > 0) {
       // Single version under the original name, ordered for the weakest
@@ -1152,25 +1141,26 @@ prore::Result<ReorderResult> Pipeline::Run() {
     reader::Program owned;
     analysis::PredSet called;
     lint::ReorderCheckInput check;
-    check.original = external_.empty() ? &original_ : &owned;
+    check.original = &owned;
     check.transformed = &result.program;
     for (const PredModeReport& report : reports_) {
       check.versions.push_back(
           lint::VersionInfo{report.pred, report.mode, report.version_name});
     }
-    check.modes = &patterns_->modes;
+    check.modes = &facts_.modes;
     check.oracle = oracle_.get();
-    check.fixity = &fixity_;
+    check.fixity = &facts_.fixity;
     for (const PredId& pred : original_.pred_order()) {
       if (External(pred)) continue;
       if (!AllowReorder(pred)) check.no_reorder.insert(pred);
-      if (external_.empty()) continue;
       for (const reader::Clause& clause : original_.ClausesOf(pred)) {
         owned.AddClause(*store_, clause);
       }
-      for (const PredId& callee : graph_.Callees(pred)) called.insert(callee);
+      for (const PredId& callee : facts_.graph.Callees(pred)) {
+        called.insert(callee);
+      }
     }
-    for (const CalleeSummary* callee : Callees()) {
+    for (const CalleeSummary* callee : group_.callees) {
       for (const lint::VersionInfo& v : callee->versions) {
         if (called.count(v.pred) > 0) check.versions.push_back(v);
       }
@@ -1190,13 +1180,20 @@ prore::Result<ReorderResult> Pipeline::Run() {
 
 }  // namespace
 
-prore::Result<ReorderResult> Reorderer::Run(const reader::Program& original,
-                                            const GroupContext* group) {
+prore::Result<ReorderResult> Reorderer::Run(const reader::Program& original) {
+  PRORE_RETURN_IF_ERROR(options_.exec.Check());
+  PRORE_ASSIGN_OR_RETURN(ProgramFacts facts,
+                         ProgramFacts::Build(*store_, original));
+  PRORE_RETURN_IF_ERROR(facts.Analyze(*store_, original, options_));
+  return Run(original, GroupContext{&original.pred_order(), &facts, {}});
+}
+
+prore::Result<ReorderResult> Reorderer::Run(const reader::Program& cone,
+                                            const GroupContext& group) {
   // A cancelled or past-deadline context never starts new work; mid-run
   // interruption happens inside the analyses via their watchdogs.
   PRORE_RETURN_IF_ERROR(options_.exec.Check());
-  Pipeline pipeline(store_, original, options_, group);
-  return pipeline.Run();
+  return Pipeline(store_, cone, options_, group).Run();
 }
 
 }  // namespace prore::core

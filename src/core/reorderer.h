@@ -4,11 +4,13 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "analysis/absint/absint.h"
 #include "analysis/callgraph.h"
+#include "analysis/fixity.h"
 #include "analysis/mode_inference.h"
 #include "analysis/modes.h"
 #include "common/result.h"
@@ -41,18 +43,6 @@ struct ReorderOptions {
   /// fail, we use the original order and lose only the cost of the
   /// tests". Most useful with specialize_modes off.
   bool runtime_guards = false;
-  /// Emit a guard only when the optimistic order is predicted at least
-  /// this much cheaper (ratio of all-solutions costs).
-  double guard_min_gain = 1.15;
-  /// Reorder recursive predicates only when the user declared their legal
-  /// modes (`:- legal_mode(...)`), the paper's §IV-D.7 position: "we assume
-  /// for now that the programmer declares a predicate recursive and
-  /// provides necessary information".
-  bool reorder_recursive_only_if_declared = true;
-  /// Dispatchers enumerate 2^arity branches; skip beyond this arity.
-  uint32_t max_dispatch_arity = 6;
-  /// Cap on generated versions per predicate.
-  size_t max_versions_per_pred = 64;
   /// Run the reorder validator (lint/validate.h) over the transformed
   /// program and report its findings in ReorderResult::diagnostics. The
   /// optimizer thereby verifies its own output on every run.
@@ -129,29 +119,48 @@ struct CalleeSummary {
   std::vector<std::pair<std::string, cost::PredModeStats>> stats;
 };
 
-/// The analyses whose facts flow caller -> callee, over a whole program:
-/// mode inference, then (with ReorderOptions::absint) absint, its
-/// groundness folded into the mode table.
-struct CallPatterns {
+/// What every run reads about the whole program, derived once per program:
+/// the paper's restrictions (fixity §IV-B/C, legal modes §V) and the call
+/// graph are facts about the whole program. They are keyed by PredId and
+/// flow either callee -> caller (fixity) or caller -> callee (cut-freezing,
+/// call patterns); a dependency group's cone is closed under callees, and
+/// its callers' calls are what the whole program makes, so the whole-
+/// program value is the cone's on every member. Shared read-only between
+/// concurrent group runs.
+struct ProgramFacts {
+  analysis::Declarations decls;
+  analysis::CallGraph graph;
+  /// Every predicate the program defines, with the index of its SCC in
+  /// graph.SccsBottomUp(): versions are built lowest rank first, so
+  /// callers price reordered callees.
+  std::unordered_map<term::PredId, size_t, term::PredIdHash> scc_rank;
+  analysis::PredSet frozen;  ///< cut-freezing (FrozenDescendants)
+  // ---- Set by Analyze ---------------------------------------------------
   analysis::ModeAnalysis modes;
   std::unique_ptr<analysis::absint::AbsintResult> absint;  ///< null if off
-};
-prore::Result<CallPatterns> AnalyzeCallPatterns(
-    const term::TermStore& store, const reader::Program& program,
-    const analysis::CallGraph& graph, const analysis::Declarations& decls,
-    const ReorderOptions& options);
+  analysis::FixityResult fixity;
 
-/// What a run over one dependency group and its callee cone takes from the
-/// whole program (core/pipeline.h). Cut-freezing, the inferred call
-/// patterns and what absint learned under them flow caller -> callee, so
-/// the subprogram cannot derive them; version names must be free program-
-/// wide; and the callee groups' summaries stand in for their transforms.
-/// All pointees are shared read-only between concurrent group runs.
+  /// The declarations, the call graph with its SCC ranks, and
+  /// cut-freezing.
+  static prore::Result<ProgramFacts> Build(const term::TermStore& store,
+                                           const reader::Program& program);
+  /// The part only a run that builds something needs: mode inference,
+  /// then (with ReorderOptions::absint) absint, its groundness folded into
+  /// the mode table; then fixity, with semifixity refined under those
+  /// modes.
+  prore::Status Analyze(const term::TermStore& store,
+                        const reader::Program& program,
+                        const ReorderOptions& options);
+};
+
+/// One run over a dependency group and its callee cone (core/pipeline.h).
+/// Every whole-program fact comes from `facts`; version names must be free
+/// program-wide (facts->scc_rank); and the callee groups' summaries stand in
+/// for their transforms. All pointees are shared read-only between
+/// concurrent group runs.
 struct GroupContext {
   const std::vector<term::PredId>* members = nullptr;
-  const analysis::PredSet* frozen = nullptr;
-  const analysis::PredSet* program_preds = nullptr;
-  const CallPatterns* patterns = nullptr;
+  const ProgramFacts* facts = nullptr;  ///< analyzed
   std::vector<const CalleeSummary*> callees;  ///< the whole callee cone
 };
 
@@ -179,16 +188,20 @@ class Reorderer {
   /// Transforms `original`. The result program answers the same queries
   /// (same answer sets, possibly different order); queries must go through
   /// the original predicate names, which become dispatchers when
-  /// specialization is on.
-  ///
-  /// With a `group`, `original` is one dependency group plus its callee
-  /// cone, analyzed under the whole program's facts. The predicates of
-  /// `group->callees` were transformed by earlier runs: they are neither
-  /// built nor emitted; calls to them go to the published versions, and
-  /// the cost model prices them with the published statistics — so the
-  /// output equals that part of one run over the whole program.
-  prore::Result<ReorderResult> Run(const reader::Program& original,
-                                   const GroupContext* group = nullptr);
+  /// specialization is on. Derives the program's facts and runs it as one
+  /// group with no callees.
+  prore::Result<ReorderResult> Run(const reader::Program& original);
+
+  /// Transforms one dependency group: `cone` holds the clauses of the
+  /// group and of its callee cone; the callees' clauses serve only the
+  /// legality oracle and the cost of modes they did not publish. The
+  /// predicates of `group.callees`
+  /// were transformed by earlier runs: they are neither built nor emitted;
+  /// calls to them go to the published versions, and the cost model
+  /// prices them with the published statistics — so the output equals
+  /// that part of one run over the whole program.
+  prore::Result<ReorderResult> Run(const reader::Program& cone,
+                                   const GroupContext& group);
 
   /// Name of the specialized version of `id` for `mode`, e.g. aunt_iu.
   static std::string VersionName(const term::TermStore& store,

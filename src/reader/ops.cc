@@ -2,6 +2,11 @@
 
 namespace prore::reader {
 
+const OpTable& OpTable::Standard() {
+  static const OpTable* const table = new OpTable();
+  return *table;
+}
+
 OpTable::OpTable() {
   Add(":-", 1200, OpType::kXfx);
   Add("-->", 1200, OpType::kXfx);

@@ -30,6 +30,8 @@ class OpTable {
  public:
   /// Constructs the standard table.
   OpTable();
+  /// The standard table, built once and shared read-only.
+  static const OpTable& Standard();
 
   void Add(std::string_view name, int priority, OpType type);
 

@@ -453,30 +453,26 @@ prore::Result<ReadTerm> Parser::ParseTermText(std::string_view text) {
 
 prore::Result<Program> ParseProgramText(term::TermStore* store,
                                         std::string_view text) {
-  OpTable ops;
-  Parser parser(store, &ops);
+  Parser parser(store, &OpTable::Standard());
   return parser.ParseProgram(text);
 }
 
 Program ParseProgramTextRecovering(term::TermStore* store,
                                    std::string_view text,
                                    std::vector<prore::Status>* errors) {
-  OpTable ops;
-  Parser parser(store, &ops);
+  Parser parser(store, &OpTable::Standard());
   return parser.ParseProgramRecovering(text, errors);
 }
 
 prore::Result<ReadTerm> ParseQueryText(term::TermStore* store,
                                        std::string_view text) {
-  OpTable ops;
-  Parser parser(store, &ops);
+  Parser parser(store, &OpTable::Standard());
   return parser.ParseTermText(text);
 }
 
 prore::Result<std::vector<ReadTerm>> ParseTermSequence(
     term::TermStore* store, std::string_view text) {
-  OpTable ops;
-  Parser parser(store, &ops);
+  Parser parser(store, &OpTable::Standard());
   return parser.ParseTermSequenceText(text);
 }
 

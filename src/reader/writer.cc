@@ -250,7 +250,7 @@ class Writer {
 
   const TermStore& store_;
   const WriteOptions& opts_;
-  OpTable ops_;
+  const OpTable& ops_ = OpTable::Standard();
 };
 
 }  // namespace

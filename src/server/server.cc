@@ -13,7 +13,6 @@
 #include <condition_variable>
 #include <utility>
 
-#include "analysis/content_hash.h"
 #include "common/str_util.h"
 #include "lint/lint.h"
 #include "reader/parser.h"
@@ -628,7 +627,7 @@ JsonValue Server::DoReorder(const JsonValue& req,
   }
 
   core::PipelineOptions po = options_.pipeline;
-  po.exec = ctx;
+  po.reorder.exec = ctx;
   po.unfold = req.GetBool("unfold", po.unfold);
   po.factor = req.GetBool("factor", po.factor);
   po.reorder.absint = req.GetBool("absint", po.reorder.absint);
@@ -637,25 +636,12 @@ JsonValue Server::DoReorder(const JsonValue& req,
   po.jobs = static_cast<size_t>(std::clamp(jobs, 0.0, 64.0));
   if (req.GetBool("cache", true)) {
     po.cache = &cache_;
-    // Entries are only valid under the exact option set that produced
-    // them; fingerprint everything that changes the transform's output.
-    uint64_t salt = analysis::HashMix(0x70726f726564u, 1);  // format v1
-    auto fold = [&salt](bool b) { salt = analysis::HashMix(salt, b); };
-    fold(po.unfold);
-    fold(po.factor);
-    fold(po.reorder.absint);
-    fold(po.reorder.specialize_modes);
-    fold(po.reorder.reorder_clauses);
-    fold(po.reorder.reorder_goals);
-    fold(po.reorder.runtime_guards);
-    fold(po.reorder.goal_search.warren_heuristic);
-    // A profile changes the cost model's inputs, hence the output: cache
-    // entries are only shareable between requests seeing the same profile
-    // bytes (or none).
+    // The pipeline keys entries by the options; a profile changes the cost
+    // model's inputs, hence the output, so entries are only shareable
+    // between requests seeing the same profile bytes (or none).
     if (session->profile != nullptr) {
-      salt = analysis::HashMix(salt, profile::Fingerprint(*session->profile));
+      po.cache_salt = profile::Fingerprint(*session->profile);
     }
-    po.cache_salt = salt;
   }
 
   term::TermStore store;

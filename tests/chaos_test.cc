@@ -337,7 +337,7 @@ TEST(ChaosPipelineTest, CancelledRunShipsIdentityNeverPartial) {
 
   PipelineReport identity_report;
   PipelineOptions cancelled;
-  cancelled.exec.token = cancel.token();
+  cancelled.reorder.exec.token = cancel.token();
   const std::string cancelled_out = fx.RunAndWrite(cancelled, &identity_report);
   EXPECT_FALSE(identity_report.global_trigger.empty());
 
@@ -354,7 +354,7 @@ TEST(ChaosPipelineTest, ExpiredDeadlineShipsIdentityAcrossJobCounts) {
     PipelineReport report;
     PipelineOptions options;
     options.jobs = jobs;
-    options.exec.deadline = prore::Deadline::AfterMs(0);
+    options.reorder.exec.deadline = prore::Deadline::AfterMs(0);
     const std::string out = fx.RunAndWrite(options, &report);
     EXPECT_FALSE(out.empty());
     EXPECT_TRUE(report.degraded()) << "jobs=" << jobs;
@@ -375,8 +375,8 @@ TEST(ChaosPipelineTest, JobsNOutputBitIdenticalWithContextLayerArmed) {
     PipelineReport report;
     PipelineOptions options;
     options.jobs = jobs;
-    options.exec.token = live.token();
-    options.exec.deadline = prore::Deadline::AfterMs(600'000);
+    options.reorder.exec.token = live.token();
+    options.reorder.exec.deadline = prore::Deadline::AfterMs(600'000);
     const std::string out = fx.RunAndWrite(options, &report);
     EXPECT_FALSE(report.degraded()) << "jobs=" << jobs;
     if (reference.empty()) {

@@ -1,7 +1,8 @@
 // Tests of the parallel optimization pipeline (core/pipeline.h jobs > 0):
-// SCC dependency groups come out in valid topological order, sharded runs
-// are bit-identical to the whole-program pipeline for every worker count,
-// a warm cache replays every group byte for byte, and
+// SCC dependency groups come out in valid topological order, runs on
+// worker threads are bit-identical to the inline run for every worker
+// count, a warm cache replays every group byte for byte and is keyed by
+// the options that change the output, and
 // a fault injected into one dependency group quarantines only that group
 // while the rest of the program is optimized at full strength.
 
@@ -159,7 +160,7 @@ TEST(DependencyGroupsTest, MutualRecursionSharesOneGroup) {
 }
 
 TEST(ParallelPipelineTest, ShardedOutputBitIdenticalAcrossJobCounts) {
-  // Reference: jobs=1 (no worker threads: the whole-program path).
+  // Reference: jobs=1 (no worker threads: the inline pool).
   std::string reference_text;
   std::string reference_report;
   {
@@ -193,15 +194,15 @@ TEST(ParallelPipelineTest, ShardedOutputBitIdenticalAcrossJobCounts) {
 }
 
 TEST(ParallelPipelineTest, ShardedEqualsWholeProgramByteForByte) {
-  // Group by group, against the callee groups' published summaries, the
-  // sharded run emits exactly the whole-program pipeline's program and
-  // report — cross-group calls go to the callees' specialized versions.
+  // Group by group, against the callee groups' published summaries, a run
+  // on worker threads emits exactly the inline run's program and report —
+  // cross-group calls go to the callees' specialized versions.
   std::string whole_text, whole_report;
   {
     TermStore store;
     auto program = reader::ParseProgramText(&store, kMultiCluster);
     ASSERT_TRUE(program.ok());
-    auto result = GuardedPipeline(&store).Run(*program);  // whole-program
+    auto result = GuardedPipeline(&store).Run(*program);  // inline, jobs=0
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     whole_text = reader::WriteProgram(store, result->program);
     whole_report = result->report.ToJson();
@@ -275,7 +276,7 @@ TEST(ParallelPipelineTest, DeterministicDemotionReplaysFromCache) {
     TransformFaultPlan plan = FaultFor(store, "grand/2", "*");
     PipelineOptions options;
     options.jobs = 2;
-    options.fault = &plan;
+    options.reorder.fault = &plan;
     options.cache = &cache;
     auto result = GuardedPipeline(&store, options).Run(*program);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -325,6 +326,28 @@ TEST(ParallelPipelineTest, CallerEditRekeysCalleeGroups) {
   EXPECT_EQ(run(full, &cache), run(full, nullptr));
 }
 
+// The pipeline keys cache entries by the options that change its output:
+// an entry made with mode specialization on never replays into a run with
+// it off.
+TEST(ParallelPipelineTest, CacheKeysFoldInTheOutputOptions) {
+  auto run = [](bool specialize, core::AnalysisCache* cache) {
+    TermStore store;
+    auto program = reader::ParseProgramText(&store, kMultiCluster);
+    EXPECT_TRUE(program.ok());
+    PipelineOptions options;
+    options.reorder.specialize_modes = specialize;
+    options.cache = cache;
+    auto result = GuardedPipeline(&store, options).Run(*program);
+    EXPECT_TRUE(result.ok());
+    return reader::WriteProgram(store, result->program);
+  };
+  core::AnalysisCache cache;
+  const std::string specialized = run(true, &cache);
+  const std::string plain = run(false, &cache);
+  EXPECT_NE(plain, specialized);
+  EXPECT_EQ(plain, run(false, nullptr));
+}
+
 TEST(ParallelPipelineTest, FaultQuarantinesOnlyItsGroup) {
   TermStore store;
   auto program = reader::ParseProgramText(&store, kMultiCluster);
@@ -334,7 +357,7 @@ TEST(ParallelPipelineTest, FaultQuarantinesOnlyItsGroup) {
   TransformFaultPlan plan = FaultFor(store, "grand/2", "*");
   PipelineOptions options;
   options.jobs = 2;
-  options.fault = &plan;
+  options.reorder.fault = &plan;
   GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/watchdog.h"
 #include "core/evaluation.h"
 #include "core/fault.h"
@@ -120,7 +121,7 @@ TEST_P(GuardedPipelineTest, GoalOrderFaultDescendsToClauseOrderOnly) {
   PipelineOptions options;
   options.jobs = GetParam();
   options.unfold = true;  // exposes the full ladder incl. no-unfold
-  options.fault = &plan;
+  options.reorder.fault = &plan;
   GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -152,7 +153,7 @@ TEST_P(GuardedPipelineTest, PersistentFaultDescendsAllTheWayToIdentity) {
   PipelineOptions options;
   options.jobs = GetParam();
   options.unfold = true;
-  options.fault = &plan;
+  options.reorder.fault = &plan;
   GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -179,7 +180,7 @@ TEST_P(GuardedPipelineTest, IdentityIsReachableUnderTotalFault) {
   };
   PipelineOptions options;
   options.jobs = GetParam();
-  options.fault = &plan;
+  options.reorder.fault = &plan;
   GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -204,7 +205,7 @@ TEST_P(GuardedPipelineTest, QuarantinedPredicateIsEmittedBitIdentically) {
   TransformFaultPlan plan = FaultFor(store, "sib/2", "*");
   PipelineOptions options;
   options.jobs = GetParam();
-  options.fault = &plan;
+  options.reorder.fault = &plan;
   GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -233,7 +234,7 @@ TEST_P(GuardedPipelineTest, ReportJsonIsStableAcrossIdenticalRuns) {
     TransformFaultPlan plan = FaultFor(store, "grand/2", "goal_order");
     PipelineOptions options;
     options.jobs = jobs;
-    options.fault = &plan;
+    options.reorder.fault = &plan;
     GuardedPipeline pipeline(&store, options);
     auto result = pipeline.Run(*program);
     ASSERT_TRUE(result.ok());
@@ -261,7 +262,7 @@ TEST_P(GuardedPipelineTest, CostWatchdogQuarantinesInsteadOfHanging) {
   ASSERT_TRUE(program.ok());
   PipelineOptions options;
   options.jobs = GetParam();
-  options.cost_watchdog.max_steps = 2;  // pathologically small
+  options.reorder.cost_watchdog.max_steps = 2;  // pathologically small
   GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -293,7 +294,7 @@ TEST_P(GuardedPipelineTest, ValidatorErrorsQuarantineTheOffendingPredicate) {
   }
   PipelineOptions options;
   options.jobs = GetParam();
-  options.fault = &plan;
+  options.reorder.fault = &plan;
   options.reorder.validate_output = true;
   GuardedPipeline pipeline(&store, options);
   auto result = pipeline.Run(*program);
@@ -306,6 +307,49 @@ TEST_P(GuardedPipelineTest, ValidatorErrorsQuarantineTheOffendingPredicate) {
       << parent->triggers[0];
   EXPECT_GT(plan.fired, 0u);
   ExpectSetEquivalent(&store, *program, result->program);
+}
+
+// The pipeline reads its budgets and its ExecContext from the reorderer's
+// options: each one set there must take effect.
+TEST_P(GuardedPipelineTest, ReorderOptionsBudgetsAndContextTakeEffect) {
+  auto run = [](size_t jobs, const auto& configure) {
+    TermStore store;
+    auto program = reader::ParseProgramText(&store, kFamily);
+    EXPECT_TRUE(program.ok());
+    PipelineOptions options;
+    options.jobs = jobs;
+    configure(&options.reorder);
+    auto result = GuardedPipeline(&store, options).Run(*program);
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+    return result.ok() ? result->report : core::PipelineReport();
+  };
+  const core::PipelineReport cost =
+      run(GetParam(), [](core::ReorderOptions* ro) {
+        ro->cost_watchdog.max_steps = 1;
+      });
+  EXPECT_GT(cost.quarantined(), 0u) << cost.ToText();
+
+  const core::PipelineReport inference =
+      run(GetParam(), [](core::ReorderOptions* ro) {
+        ro->inference.watchdog.max_steps = 1;
+      });
+  EXPECT_NE(inference.global_trigger.find("mode_inference"),
+            std::string::npos)
+      << inference.ToText();
+
+  const core::PipelineReport absint =
+      run(GetParam(), [](core::ReorderOptions* ro) {
+        ro->absint_watchdog.max_steps = 1;
+      });
+  EXPECT_TRUE(absint.absint_disabled) << absint.ToText();
+
+  const core::PipelineReport expired =
+      run(GetParam(), [](core::ReorderOptions* ro) {
+        ro->exec.deadline = Deadline::AfterMs(0);
+      });
+  EXPECT_NE(expired.global_trigger.find("deadline"), std::string::npos)
+      << expired.ToText();
+  EXPECT_EQ(expired.quarantined(), expired.preds.size());
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -337,7 +381,7 @@ p(1). q(1).
   };
   PipelineOptions options;
   options.reorder.specialize_modes = false;  // one version per predicate
-  options.fault = &plan;
+  options.reorder.fault = &plan;
   auto result = GuardedPipeline(&store, options).Run(*program);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const PredOutcome* a = FindOutcome(result->report, "a/1");

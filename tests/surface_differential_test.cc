@@ -2,8 +2,11 @@
 // the program and the pipeline report of the plain library run at jobs=0,
 // byte for byte. The surfaces are the library at jobs 0, 1, 2 and 4 (each
 // with no cache, a cold cache and a warm cache, which must replay every
-// dependency group), the prore CLI at --jobs=0|1|4, and the prored
-// server's reorder op, cold and warm. The inputs are the paper's corpus,
+// dependency group), the prore CLI at --jobs=0|1|4, the prored server's
+// reorder op, cold and warm, and one whole-program Reorderer::Run (the
+// program as a single group) after the same pre-passes, which must emit
+// the same program whenever the pipeline did not degrade. The inputs are
+// the paper's corpus,
 // examples/prolog/*.pl and fuzz programs, each under the default options
 // and with the unfold and factor pre-passes on.
 
@@ -29,7 +32,10 @@
 #include "common/json.h"
 #include "common/str_util.h"
 #include "core/analysis_cache.h"
+#include "core/disjunction.h"
 #include "core/pipeline.h"
+#include "core/reorderer.h"
+#include "core/unfold.h"
 #include "program_generator.h"
 #include "programs/programs.h"
 #include "reader/parser.h"
@@ -79,6 +85,7 @@ struct Output {
   std::string report;
   size_t cache_hits = 0;
   size_t cache_misses = 0;
+  bool degraded = false;
 };
 
 /// `transforms`: the unfold and factor pre-passes on (--unfold --factor).
@@ -97,7 +104,28 @@ Output RunLibrary(const std::string& source, bool transforms, size_t jobs,
   if (!result.ok()) return {};
   return {reader::WriteProgram(store, result->program),
           result->report.ToJson(), result->report.cache_hits,
-          result->report.cache_misses};
+          result->report.cache_misses, result->report.degraded()};
+}
+
+/// Reorderer::Run over the whole program, after the pre-passes when
+/// `transforms` is on.
+std::string RunReorderer(const std::string& source, bool transforms) {
+  term::TermStore store;
+  auto program = reader::ParseProgramText(&store, source);
+  EXPECT_TRUE(program.ok()) << program.status().ToString();
+  if (!program.ok()) return "";
+  if (transforms) {
+    program = core::UnfoldProgram(&store, *program);
+    EXPECT_TRUE(program.ok()) << program.status().ToString();
+    if (!program.ok()) return "";
+    program = core::FactorDisjunctions(&store, *program);
+    EXPECT_TRUE(program.ok()) << program.status().ToString();
+    if (!program.ok()) return "";
+  }
+  auto result = core::Reorderer(&store).Run(*program);
+  EXPECT_TRUE(result.ok()) << result.status().ToString();
+  if (!result.ok()) return "";
+  return reader::WriteProgram(store, result->program);
 }
 
 std::string ReadFile(const std::string& path) {
@@ -228,6 +256,10 @@ TEST_P(SurfaceDifferentialTest, EverySurfaceEmitsTheWholeProgramOutput) {
   ASSERT_EQ(served.size(), 2u);
   expect_same(served[0], "prored reorder, cold cache");
   expect_same(served[1], "prored reorder, warm cache");
+  if (!reference.degraded) {
+    EXPECT_EQ(RunReorderer(c.source, transforms), reference.program)
+        << "Reorderer::Run over the whole program";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

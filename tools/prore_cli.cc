@@ -248,17 +248,17 @@ int main(int argc, char** argv) {
       pipeline_options.retry.max_attempts = static_cast<int>(attempts);
     } else if (
         ParseBudget(arg, "--cost-steps=",
-                    &pipeline_options.cost_watchdog.max_steps) ||
+                    &pipeline_options.reorder.cost_watchdog.max_steps) ||
         ParseBudget(arg, "--cost-timeout-ms=",
-                    &pipeline_options.cost_watchdog.timeout_ms) ||
+                    &pipeline_options.reorder.cost_watchdog.timeout_ms) ||
         ParseBudget(arg, "--infer-steps=",
-                    &pipeline_options.inference_watchdog.max_steps) ||
+                    &pipeline_options.reorder.inference.watchdog.max_steps) ||
         ParseBudget(arg, "--infer-timeout-ms=",
-                    &pipeline_options.inference_watchdog.timeout_ms) ||
+                    &pipeline_options.reorder.inference.watchdog.timeout_ms) ||
         ParseBudget(arg, "--absint-steps=",
-                    &pipeline_options.absint_watchdog.max_steps) ||
+                    &pipeline_options.reorder.absint_watchdog.max_steps) ||
         ParseBudget(arg, "--absint-timeout-ms=",
-                    &pipeline_options.absint_watchdog.timeout_ms)) {
+                    &pipeline_options.reorder.absint_watchdog.timeout_ms)) {
       // value stored by ParseBudget
     } else if (arg.rfind("--deadline-ms=", 0) == 0) {
       if (!ParseBudget(arg, "--deadline-ms=", &deadline_ms)) {
@@ -296,7 +296,8 @@ int main(int argc, char** argv) {
   // --deadline-ms bounds the entire invocation — not just the pipeline.
   if (deadline_ms != 0) {
     const prore::Deadline run_deadline = prore::Deadline::AfterMs(deadline_ms);
-    pipeline_options.exec = pipeline_options.exec.WithDeadline(run_deadline);
+    pipeline_options.reorder.exec =
+        pipeline_options.reorder.exec.WithDeadline(run_deadline);
     solve_options.exec = solve_options.exec.WithDeadline(run_deadline);
   }
   pipeline_options.stop_on_degrade = strict;
