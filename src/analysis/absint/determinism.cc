@@ -334,7 +334,7 @@ prore::Result<DetInterval> DeterminismDomain::WalkBody(
   DetInterval iv = CallInterval(goal, callee, call_mode);
   std::optional<Mode> out;
   if (engine::LookupBuiltin(name, callee.arity) != nullptr) {
-    out = builtin_modes_.OutputFor(name, callee.arity, call_mode);
+    out = BuiltinModes::Standard().OutputFor(name, callee.arity, call_mode);
   } else {
     out = library_modes_.OutputFor(callee, call_mode);
   }

@@ -76,7 +76,7 @@ prore::Result<GroundnessValue> GroundnessDomain::Transfer(
     const std::string& name = store_->symbols().Name(id.name);
     std::optional<Mode> out;
     if (engine::LookupBuiltin(name, id.arity) != nullptr) {
-      out = builtin_modes_.OutputFor(name, id.arity, pattern);
+      out = BuiltinModes::Standard().OutputFor(name, id.arity, pattern);
     } else {
       out = library_modes_.OutputFor(id, pattern);
     }
@@ -246,7 +246,7 @@ prore::Status GroundnessDomain::WalkBody(const BodyNode& node,
   }
   std::optional<Mode> out;
   if (engine::LookupBuiltin(name, callee.arity) != nullptr) {
-    out = builtin_modes_.OutputFor(name, callee.arity, call_mode);
+    out = BuiltinModes::Standard().OutputFor(name, callee.arity, call_mode);
   } else {
     out = library_modes_.OutputFor(callee, call_mode);
   }

@@ -381,7 +381,8 @@ class Inferencer {
     }
     // Built-in?
     if (engine::LookupBuiltin(name, callee.arity) != nullptr) {
-      auto out = builtin_modes_.OutputFor(name, callee.arity, call_mode);
+      auto out =
+          BuiltinModes::Standard().OutputFor(name, callee.arity, call_mode);
       ApplyOutputToGoal(goal, out.value_or(Mode(callee.arity, ModeItem::kAny)),
                         env);
       return prore::Status::OK();
@@ -408,7 +409,6 @@ class Inferencer {
   bool stabilizing_ = false;
   prore::Watchdog watchdog_;
   ModeTable library_modes_;
-  BuiltinModes builtin_modes_;
   std::unordered_map<std::string, Record> memo_;
   std::unordered_set<std::string> in_progress_;
 };
@@ -447,7 +447,7 @@ bool LegalityOracle::IsLegalCall(const PredId& id, const Mode& call_mode) {
   const std::string& name = store_->symbols().Name(id.name);
   if (!program_->Has(id) &&
       engine::LookupBuiltin(name, id.arity) != nullptr) {
-    return builtin_modes_.IsLegalCall(name, id.arity, call_mode);
+    return BuiltinModes::Standard().IsLegalCall(name, id.arity, call_mode);
   }
   if (program_->Has(id) && !graph_->IsRecursive(id)) {
     // Non-recursive predicates are judged structurally (do all their
@@ -465,7 +465,7 @@ Mode LegalityOracle::Output(const PredId& id, const Mode& call_mode) {
   const std::string& name = store_->symbols().Name(id.name);
   if (!program_->Has(id) &&
       engine::LookupBuiltin(name, id.arity) != nullptr) {
-    auto out = builtin_modes_.OutputFor(name, id.arity, call_mode);
+    auto out = BuiltinModes::Standard().OutputFor(name, id.arity, call_mode);
     return out.value_or(ApplyOutput(call_mode, Mode(id.arity, ModeItem::kAny)));
   }
   if (auto out = analysis_->table.OutputFor(id, call_mode); out.has_value()) {

@@ -92,8 +92,6 @@ class LegalityOracle {
   /// on-demand analysis cannot guarantee becomes '?').
   Mode Output(const term::PredId& id, const Mode& call_mode);
 
-  const BuiltinModes& builtin_modes() const { return builtin_modes_; }
-
  private:
   struct Entry {
     bool legal = false;
@@ -112,7 +110,6 @@ class LegalityOracle {
   const reader::Program* program_;
   const CallGraph* graph_;
   const ModeAnalysis* analysis_;
-  BuiltinModes builtin_modes_;
   std::unordered_map<std::string, Entry> memo_;
   std::unordered_set<std::string> in_progress_;
 };

@@ -231,6 +231,11 @@ void BuiltinModes::Add(const std::string& name, uint32_t arity,
       ModePair{std::move(in).value(), std::move(out).value()});
 }
 
+const BuiltinModes& BuiltinModes::Standard() {
+  static const BuiltinModes* const table = new BuiltinModes();
+  return *table;
+}
+
 BuiltinModes::BuiltinModes() {
   // Unification: one ground side grounds the other; nothing guaranteed
   // otherwise (the reorderer special-cases =/2 via ApplyUnification).
@@ -320,16 +325,27 @@ ModeItem ModeOfTerm(const TermStore& store, TermRef t) {
   return store.IsGround(t) ? ModeItem::kPlus : ModeItem::kAny;
 }
 
+namespace {
+bool IdBefore(const std::pair<uint32_t, VarState>& entry, uint32_t id) {
+  return entry.first < id;
+}
+}  // namespace
+
 VarState AbstractEnv::Get(uint32_t var_id) const {
-  auto it = states_.find(var_id);
-  return it == states_.end() ? VarState::kFree : it->second;
+  auto it = std::lower_bound(states_.begin(), states_.end(), var_id, IdBefore);
+  return it == states_.end() || it->first != var_id ? VarState::kFree
+                                                    : it->second;
 }
 
 void AbstractEnv::Set(uint32_t var_id, VarState s) {
+  auto it = std::lower_bound(states_.begin(), states_.end(), var_id, IdBefore);
+  bool present = it != states_.end() && it->first == var_id;
   if (s == VarState::kFree) {
-    states_.erase(var_id);  // normalize: absent == free
+    if (present) states_.erase(it);  // normalize: absent == free
+  } else if (present) {
+    it->second = s;
   } else {
-    states_[var_id] = s;
+    states_.insert(it, {var_id, s});
   }
 }
 
@@ -415,14 +431,25 @@ void AbstractEnv::ApplyUnification(const TermStore& store, TermRef lhs,
 }
 
 AbstractEnv AbstractEnv::Join(const AbstractEnv& a, const AbstractEnv& b) {
+  // A merge of the two sorted vectors. A variable present on one side
+  // only is free on the other, so it joins to unknown; the join is never
+  // free, so every merged id stays present.
   AbstractEnv out;
-  auto merge = [&](uint32_t id) {
-    VarState sa = a.Get(id), sb = b.Get(id);
-    out.Set(id, sa == sb ? sa : VarState::kUnknown);
-  };
-  for (const auto& kv : a.states_) merge(kv.first);
-  for (const auto& kv : b.states_) {
-    if (a.states_.count(kv.first) == 0) merge(kv.first);
+  out.states_.reserve(std::max(a.states_.size(), b.states_.size()));
+  auto ia = a.states_.begin(), ib = b.states_.begin();
+  while (ia != a.states_.end() || ib != b.states_.end()) {
+    if (ib == b.states_.end() ||
+        (ia != a.states_.end() && ia->first < ib->first)) {
+      out.states_.emplace_back(ia++->first, VarState::kUnknown);
+    } else if (ia == a.states_.end() || ib->first < ia->first) {
+      out.states_.emplace_back(ib++->first, VarState::kUnknown);
+    } else {
+      out.states_.emplace_back(
+          ia->first,
+          ia->second == ib->second ? ia->second : VarState::kUnknown);
+      ++ia;
+      ++ib;
+    }
   }
   return out;
 }

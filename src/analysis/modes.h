@@ -6,6 +6,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -103,7 +104,8 @@ class ModeTable {
 /// returning (?).
 class BuiltinModes {
  public:
-  BuiltinModes();
+  /// The table, built once and shared read-only.
+  static const BuiltinModes& Standard();
 
   /// Legal pairs for a built-in; empty vector if the built-in is unknown
   /// (treated as demanding nothing).
@@ -116,6 +118,7 @@ class BuiltinModes {
                                 const Mode& call_mode) const;
 
  private:
+  BuiltinModes();
   void Add(const std::string& name, uint32_t arity, const std::string& input,
            const std::string& output);
 
@@ -165,7 +168,9 @@ enum class VarState : uint8_t {
 };
 
 /// Abstract binding environment: clause-variable id -> state. Variables
-/// not present are kFree (fresh body variables start free).
+/// not present are kFree (fresh body variables start free). A flat vector
+/// sorted by id: the goal-order search copies one per placement, and a
+/// clause has a handful of variables.
 class AbstractEnv {
  public:
   VarState Get(uint32_t var_id) const;
@@ -194,7 +199,7 @@ class AbstractEnv {
   bool operator==(const AbstractEnv&) const = default;
 
  private:
-  std::unordered_map<uint32_t, VarState> states_;
+  std::vector<std::pair<uint32_t, VarState>> states_;  ///< never kFree
 };
 
 }  // namespace prore::analysis

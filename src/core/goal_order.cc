@@ -4,7 +4,6 @@
 #include <cmath>
 #include <functional>
 #include <limits>
-#include <queue>
 
 #include "engine/builtins.h"
 #include "markov/chain.h"
@@ -35,9 +34,6 @@ std::vector<SemifixConstraint> GoalOrderSearch::OriginalSignatures(
     const std::vector<const BodyNode*>& elements,
     const AbstractEnv& start_env) {
   std::vector<SemifixConstraint> sigs(elements.size());
-  auto eval = costs_->EvaluateSequence(elements, start_env);
-  // Recompute states element by element (EvaluateSequence gives only the
-  // final env), so walk again.
   AbstractEnv env = start_env;
   for (size_t i = 0; i < elements.size(); ++i) {
     for (uint32_t var : CulpritVars(*elements[i])) {
@@ -50,12 +46,10 @@ std::vector<SemifixConstraint> GoalOrderSearch::OriginalSignatures(
       uint32_t id = store_->var_id(v);
       sigs[i].original_states.emplace_back(id, env.Get(id));
     }
-    // Advance the environment exactly the way candidate evaluation does.
-    std::vector<const BodyNode*> single{elements[i]};
-    auto step = costs_->EvaluateSequence(single, env);
-    if (step.ok()) env = step->env_after;
+    // Advance the environment exactly the way candidate placement does.
+    auto step = costs_->Place(*elements[i], env);
+    if (step.ok()) env = std::move(step->env_after);
   }
-  (void)eval;
   return sigs;
 }
 
@@ -132,13 +126,17 @@ prore::Result<OrderResult> GoalOrderSearch::Exhaustive(
   size_t considered = 0;
 
   std::vector<const BodyNode*> prefix;
+  // The all-solutions chain states of the prefix's placements.
+  std::vector<markov::GoalStats> stats;
   std::vector<bool> used(elements.size(), false);
 
-  // A kResourceExhausted evaluation (cost-model watchdog) must abort the
+  // A kResourceExhausted placement (cost-model watchdog) must abort the
   // whole search, not be skipped like an ordinary illegal candidate.
   prore::Status trip;
 
-  // DFS over legal prefixes; evaluate complete orders.
+  // DFS over legal prefixes; score complete orders from the stats their
+  // placements collected — the value EvaluateSequence(prefix, start_env)
+  // would compute from the same stats.
   std::function<void(const AbstractEnv&)> recurse =
       [&](const AbstractEnv& env) {
         if (!trip.ok()) return;
@@ -146,15 +144,7 @@ prore::Result<OrderResult> GoalOrderSearch::Exhaustive(
           ++considered;
           // Placement checks during the DFS already established legality
           // (oracle-proven or at-least-original).
-          auto eval = costs_->EvaluateSequence(prefix, start_env);
-          if (!eval.ok()) {
-            if (eval.status().code() ==
-                prore::StatusCode::kResourceExhausted) {
-              trip = eval.status();
-            }
-            return;
-          }
-          double cost = eval->chain.cost_all_solutions;
+          double cost = markov::ClosedFormAllSolutionsCost(stats);
           if (cost < best.cost_all) {
             best.cost_all = cost;
             best.order = prefix;
@@ -168,8 +158,7 @@ prore::Result<OrderResult> GoalOrderSearch::Exhaustive(
           // oracle proves every call's demands, OR the element sees all
           // its variables at least as instantiated as in the original
           // order (upward closure).
-          std::vector<const BodyNode*> single{elements[i]};
-          auto step = costs_->EvaluateSequence(single, env);
+          auto step = costs_->Place(*elements[i], env);
           if (!step.ok()) {
             if (step.status().code() ==
                 prore::StatusCode::kResourceExhausted) {
@@ -181,7 +170,9 @@ prore::Result<OrderResult> GoalOrderSearch::Exhaustive(
           if (!SatisfiesConstraint(sigs[i], env)) continue;
           used[i] = true;
           prefix.push_back(elements[i]);
+          stats.push_back(step->visit);
           recurse(step->env_after);
+          stats.pop_back();
           prefix.pop_back();
           used[i] = false;
         }
@@ -207,16 +198,19 @@ prore::Result<OrderResult> GoalOrderSearch::AStar(
     std::vector<markov::GoalStats> stats;
     bool operator>(const Node& o) const { return f > o.f; }
   };
-  std::priority_queue<Node, std::vector<Node>, std::greater<Node>> open;
-  open.push(Node{0.0, {}, start_env, {}});
+  // A binary min-heap on f, kept by hand (what std::priority_queue does)
+  // so the popped node can be moved out instead of copied.
+  std::vector<Node> open;
+  open.push_back(Node{0.0, {}, start_env, {}});
   size_t expansions = 0;
   OrderResult best;
   best.cost_all = std::numeric_limits<double>::infinity();
   best.order = elements;
 
   while (!open.empty() && expansions < kMaxExpansions) {
-    Node node = open.top();
-    open.pop();
+    std::pop_heap(open.begin(), open.end(), std::greater<Node>());
+    Node node = std::move(open.back());
+    open.pop_back();
     ++expansions;
     if (node.prefix.size() == elements.size()) {
       // First complete node popped is optimal (admissible heuristic).
@@ -230,8 +224,7 @@ prore::Result<OrderResult> GoalOrderSearch::AStar(
           node.prefix.end()) {
         continue;
       }
-      std::vector<const BodyNode*> single{elements[i]};
-      auto step = costs_->EvaluateSequence(single, node.env);
+      auto step = costs_->Place(*elements[i], node.env);
       if (!step.ok()) {
         if (step.status().code() == prore::StatusCode::kResourceExhausted) {
           return step.status();  // watchdog trip aborts the search
@@ -243,11 +236,12 @@ prore::Result<OrderResult> GoalOrderSearch::AStar(
       Node next;
       next.prefix = node.prefix;
       next.prefix.push_back(i);
-      next.env = step->env_after;
+      next.env = std::move(step->env_after);
       next.stats = node.stats;
-      next.stats.push_back(step->goal_stats[0]);
+      next.stats.push_back(step->visit);
       next.f = markov::ClosedFormAllSolutionsCost(next.stats);
-      open.push(std::move(next));
+      open.push_back(std::move(next));
+      std::push_heap(open.begin(), open.end(), std::greater<Node>());
     }
   }
   best.nodes_considered = expansions;
@@ -270,8 +264,7 @@ prore::Result<OrderResult> GoalOrderSearch::WarrenGreedy(
     AbstractEnv best_env;
     for (size_t i = 0; i < elements.size(); ++i) {
       if (used[i]) continue;
-      std::vector<const BodyNode*> single{elements[i]};
-      auto step = costs_->EvaluateSequence(single, env);
+      auto step = costs_->Place(*elements[i], env);
       if (!step.ok()) {
         if (step.status().code() == prore::StatusCode::kResourceExhausted) {
           return step.status();  // watchdog trip aborts the search
@@ -287,14 +280,14 @@ prore::Result<OrderResult> GoalOrderSearch::WarrenGreedy(
         PredId id = store_->pred_id(goal);
         Mode mode = env.CallModeOf(*store_, goal);
         factor = costs_->ExpectedMatches(id, mode);
-        if (factor == 0.0) factor = step->goal_stats[0].success_prob;
+        if (factor == 0.0) factor = step->visit.success_prob;
       } else {
-        factor = step->goal_stats[0].success_prob;
+        factor = step->visit.success_prob;
       }
       if (factor < best_factor) {
         best_factor = factor;
         best_i = i;
-        best_env = step->env_after;
+        best_env = std::move(step->env_after);
       }
     }
     if (best_i == elements.size()) {

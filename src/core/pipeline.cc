@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <exception>
 #include <functional>
 #include <memory>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 
 #include "analysis/content_hash.h"
@@ -48,28 +51,141 @@ CalleeSummary IdentitySummary(const term::TermStore& store,
   return out;
 }
 
-/// Cache entries carry each PredId with its symbol's name (ids are per
-/// store), to be re-interned on replay.
-template <typename T>
-GroupCacheEntry::Named<T> WithNames(const term::TermStore& store,
-                                    const std::vector<T>& items) {
-  GroupCacheEntry::Named<T> out;
-  for (const T& item : items) {
-    out.emplace_back(store.symbols().Name(item.pred.name), item);
-  }
-  return out;
+// ---- Cache entry records ----------------------------------------------
+// GroupCacheEntry::records: the fields below, in this order. An archive is
+// called with a struct's fields; Packer appends them to a string, Unpacker
+// reads them back. Numbers and enums keep their bytes (doubles bit for
+// bit), strings and vectors are length-prefixed, and a PredId travels as
+// its symbol's name (ids are per store), re-interned on unpacking.
+
+template <typename Archive>
+void Fields(Archive& ar, PredModeReport& r) {
+  ar(r.pred, r.mode, r.version_name, r.clauses_changed, r.goals_changed,
+     r.predicted_original_cost, r.predicted_new_cost);
 }
 
-template <typename T>
-std::vector<T> Reinterned(term::TermStore* store,
-                          const GroupCacheEntry::Named<T>& items) {
-  std::vector<T> out;
-  for (const auto& [name, item] : items) {
-    out.push_back(item);
-    out.back().pred.name = store->symbols().Intern(name);
-  }
-  return out;
+template <typename Archive>
+void Fields(Archive& ar, PredOutcome& o) {
+  ar(o.pred, o.name, o.level, o.attempts, o.triggers, o.retries,
+     o.fault_class, o.clauses_changed, o.goals_changed);
 }
+
+template <typename Archive>
+void Fields(Archive& ar, lint::Diagnostic& d) {
+  ar(d.code, d.severity, d.span.line, d.span.column, d.pred, d.message);
+}
+
+template <typename Archive>
+void Fields(Archive& ar, lint::VersionInfo& v) {
+  ar(v.pred, v.mode, v.version_name);
+}
+
+template <typename Archive>
+void Fields(Archive& ar, std::pair<std::string, cost::PredModeStats>& s) {
+  ar(s.first, s.second.success_prob, s.second.expected_solutions,
+     s.second.cost_single, s.second.cost_all);
+}
+
+/// Everything a group's cache entry keeps besides its text.
+template <typename Archive>
+void EntryFields(Archive& ar, PipelineResult& result,
+                 CalleeSummary& summary) {
+  ar(result.reports, result.report.preds, result.diagnostics,
+     result.report.runs, summary.versions, summary.stats);
+}
+
+class Packer {
+ public:
+  explicit Packer(const term::TermStore& store) : store_(store) {}
+  template <typename... Ts>
+  void operator()(Ts&... fields) {
+    (Put(fields), ...);
+  }
+  std::string Take() { return std::move(out_); }
+
+ private:
+  template <typename T>
+  void Put(T& v) {
+    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      out_.append(reinterpret_cast<const char*>(&v), sizeof v);
+    } else {
+      Fields(*this, v);
+    }
+  }
+  template <typename T>
+  void Put(std::vector<T>& v) {
+    uint32_t n = static_cast<uint32_t>(v.size());
+    Put(n);
+    for (T& x : v) Put(x);
+  }
+  void Put(std::string& s) {
+    uint32_t n = static_cast<uint32_t>(s.size());
+    Put(n);
+    out_ += s;
+  }
+  void Put(PredId& id) {
+    std::string name = store_.symbols().Name(id.name);
+    Put(name);
+    Put(id.arity);
+  }
+
+  const term::TermStore& store_;
+  std::string out_;
+};
+
+class Unpacker {
+ public:
+  Unpacker(term::TermStore* store, std::string_view in)
+      : store_(store), in_(in) {}
+  template <typename... Ts>
+  void operator()(Ts&... fields) {
+    (Get(fields), ...);
+  }
+  /// Every field read, and nothing left over.
+  bool done() const { return ok_ && in_.empty(); }
+
+ private:
+  /// Length prefixes are bounded by the bytes left: each item takes one.
+  uint32_t Length() {
+    uint32_t n = 0;
+    Get(n);
+    if (n > in_.size()) ok_ = false;
+    return ok_ ? n : 0;
+  }
+  template <typename T>
+  void Get(T& v) {
+    if constexpr (std::is_arithmetic_v<T> || std::is_enum_v<T>) {
+      if (!ok_ || in_.size() < sizeof v) {
+        ok_ = false;
+        return;
+      }
+      std::memcpy(&v, in_.data(), sizeof v);
+      in_.remove_prefix(sizeof v);
+    } else {
+      Fields(*this, v);
+    }
+  }
+  template <typename T>
+  void Get(std::vector<T>& v) {
+    v.resize(Length());
+    for (T& x : v) Get(x);
+  }
+  void Get(std::string& s) {
+    uint32_t n = Length();
+    s.assign(in_.substr(0, n));
+    in_.remove_prefix(n);
+  }
+  void Get(PredId& id) {
+    std::string name;
+    Get(name);
+    Get(id.arity);
+    if (ok_) id.name = store_->symbols().Intern(name);
+  }
+
+  term::TermStore* store_;
+  std::string_view in_;
+  bool ok_ = true;
+};
 
 /// The whole-program facts that flow caller -> callee, per predicate:
 /// cut-freezing and the call patterns mode inference and absint explored
@@ -232,7 +348,8 @@ std::string PipelineReport::ToJson() const {
 }
 
 bool GuardedPipeline::TryAdoptCachedGroup(
-    const GroupCacheEntry& entry, const std::vector<PredId>& members,
+    const GroupCacheEntry& entry, const std::vector<PredModeReport>& reports,
+    const std::vector<PredId>& members,
     const reader::Program& working,
     const std::vector<const CalleeSummary*>& callees,
     reader::Program* out_frag) {
@@ -255,7 +372,7 @@ bool GuardedPipeline::TryAdoptCachedGroup(
   lint::ReorderCheckInput check;
   check.original = &orig_sub;
   check.transformed = &*frag;
-  for (const PredModeReport& r : Reinterned(store_, entry.reports)) {
+  for (const PredModeReport& r : reports) {
     check.versions.push_back(
         lint::VersionInfo{r.pred, r.mode, r.version_name});
   }
@@ -644,14 +761,19 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
       GroupRun& gr = runs[gi];
       auto entry = options_.cache->Lookup(keys[gi]);
       PipelineResult replay;
+      CalleeSummary summary;
       std::vector<const CalleeSummary*> callees;  // the direct ones
       for (size_t d : dg.deps[gi]) callees.push_back(&runs[d].summary);
-      if (entry != nullptr &&
-          !TryAdoptCachedGroup(*entry, dg.groups[gi], working, callees,
-                               &replay.program)) {
-        options_.cache->Invalidate(keys[gi]);
-        ++cache_rejected;
-        entry = nullptr;
+      if (entry != nullptr) {
+        Unpacker unpack(store_, entry->records);
+        EntryFields(unpack, replay, summary);
+        if (!unpack.done() ||
+            !TryAdoptCachedGroup(*entry, replay.reports, dg.groups[gi],
+                                 working, callees, &replay.program)) {
+          options_.cache->Invalidate(keys[gi]);
+          ++cache_rejected;
+          entry = nullptr;
+        }
       }
       // Replay only over replayed callees: a recomputed callee group may
       // degrade this time, and the entry calls the versions it published.
@@ -664,12 +786,7 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
       }
       ++cache_hits;
       gr.hit = true;
-      replay.reports = Reinterned(store_, entry->reports);
-      replay.diagnostics = entry->diagnostics;
-      replay.report.preds = Reinterned(store_, entry->outcomes);
-      replay.report.runs = entry->runs;
-      gr.summary.versions = Reinterned(store_, entry->versions);
-      gr.summary.stats = entry->stats;
+      gr.summary = std::move(summary);
       gr.result = std::move(replay);
     }
   }
@@ -854,12 +971,9 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
     }
     if (options_.cache != nullptr && gr.reproducible && !gr.hit) {
       auto entry = std::make_unique<GroupCacheEntry>();
-      entry->reports = WithNames(*store_, pr.reports);
-      entry->outcomes = WithNames(*store_, pr.report.preds);
-      entry->versions = WithNames(*store_, gr.summary.versions);
-      entry->stats = gr.summary.stats;
-      entry->diagnostics = pr.diagnostics;
-      entry->runs = pr.report.runs;
+      Packer pack(*store_);
+      EntryFields(pack, pr, gr.summary);
+      entry->records = pack.Take();
       entries[gi] = std::move(entry);
     }
     std::vector<PredId> chunk;
@@ -901,6 +1015,9 @@ prore::Result<PipelineResult> GuardedPipeline::RunGroups(
   }
   for (size_t gi = 0; gi < dg.size(); ++gi) {
     if (entries[gi] != nullptr) {
+      // Grown by appending; the cache keeps it long after this run.
+      entries[gi]->program_text.shrink_to_fit();
+      entries[gi]->records.shrink_to_fit();
       options_.cache->Insert(keys[gi], std::move(*entries[gi]));
     }
   }

@@ -160,19 +160,15 @@ struct PipelineReport {
 /// folds in the callee groups' keys and the members' whole-program caller
 /// facts.
 struct GroupCacheEntry {
-  template <typename T>
-  using Named = std::vector<std::pair<std::string, T>>;
   /// The group's own predicates, versions and dispatchers, in program
   /// order.
   std::string program_text;
-  Named<PredModeReport> reports;
-  Named<PredOutcome> outcomes;
-  /// The group's CalleeSummary.
-  Named<lint::VersionInfo> versions;
-  std::vector<std::pair<std::string, cost::PredModeStats>> stats;
-  /// Notes and warnings (error findings quarantine, and are not cached).
-  std::vector<lint::Diagnostic> diagnostics;
-  int runs = 1;  ///< whole-group pipeline attempts
+  /// Everything else the run produced, packed into one string (field list
+  /// in pipeline.cc): its reports, outcomes, notes and warnings (error
+  /// findings quarantine, and are not cached), attempts, and CalleeSummary.
+  /// A server keeps tens of thousands of entries; one vector per field,
+  /// with a name string and a Mode per record, took three times the bytes.
+  std::string records;
 };
 
 struct PipelineResult {
@@ -227,13 +223,14 @@ class GuardedPipeline {
                                          const GroupContext& group,
                                          const Outcomes& carried);
 
-  /// Parses and self-verifies one cached group entry against the owned
-  /// members' clauses in `working` (PL100-PL103 validator, minus the checks
-  /// that need the producing run's analyses), with the callee groups'
-  /// published versions to resolve renamed cross-group calls. On success
-  /// the parsed fragment (terms interned in the main store) lands in
-  /// *out_frag.
+  /// Parses and self-verifies one cached group entry, whose unpacked
+  /// reports are `reports`, against the owned members' clauses in
+  /// `working` (PL100-PL103 validator, minus the checks that need the
+  /// producing run's analyses), with the callee groups' published versions
+  /// to resolve renamed cross-group calls. On success the parsed fragment
+  /// (terms interned in the main store) lands in *out_frag.
   bool TryAdoptCachedGroup(const GroupCacheEntry& entry,
+                           const std::vector<PredModeReport>& reports,
                            const std::vector<term::PredId>& members,
                            const reader::Program& working,
                            const std::vector<const CalleeSummary*>& callees,

@@ -598,40 +598,58 @@ bool CostModel::NodeLegal(const BodyNode& node, const AbstractEnv& env) {
   return true;
 }
 
+prore::Status CostModel::PlaceInto(const BodyNode& node, Placement* p) {
+  // One watchdog step per placement; the search layers multiply
+  // placements, so this is where a runaway cost query trips.
+  PRORE_RETURN_IF_ERROR(watchdog_.Step());
+  p->legal = NodeLegal(node, p->env_after);
+  PredModeStats s = NodeStats(node, p->env_after);
+  double cost = ClampCost(s.cost_single);
+  // Single-solution chain: per-visit success is the first-solution
+  // probability. Cap certain goals at 0.999 — a p=1 state makes the
+  // all-solutions chain non-absorbing (the paper's model assumes p < 1).
+  p->first = markov::GoalStats{std::min(0.999, Clamp01(s.success_prob)),
+                               cost};
+  // All-solutions chain (the ordering objective): a goal with expected
+  // s solutions re-succeeds on redo, so its per-visit success rate is
+  // s/(1+s) — this is what makes a 120-tuple generator costlier to put
+  // early than a 2-tuple one even when both "succeed" on first call.
+  double sols = std::max(0.0, s.expected_solutions);
+  p->visit = markov::GoalStats{std::min(0.999, sols / (1.0 + sols)), cost};
+  ApplyNode(node, &p->env_after);
+  return prore::Status::OK();
+}
+
+prore::Result<Placement> CostModel::Place(const BodyNode& node,
+                                          const AbstractEnv& env) {
+  Placement p;
+  p.env_after = env;
+  PRORE_RETURN_IF_ERROR(PlaceInto(node, &p));
+  return p;
+}
+
 prore::Result<BlockEval> CostModel::EvaluateSequence(
     const std::vector<const BodyNode*>& order, const AbstractEnv& start) {
   BlockEval eval;
-  eval.env_after = start;
+  Placement step;
+  step.env_after = start;
   std::vector<markov::GoalStats> single_stats;
   for (const BodyNode* node : order) {
-    // One watchdog step per scored element; the search layers multiply
-    // sequence evaluations, so this is where a runaway cost query trips.
-    PRORE_RETURN_IF_ERROR(watchdog_.Step());
-    if (!NodeLegal(*node, eval.env_after)) eval.legal = false;
-    PredModeStats s = NodeStats(*node, eval.env_after);
-    double cost = ClampCost(s.cost_single);
-    // Single-solution chain: per-visit success is the first-solution
-    // probability. Cap certain goals at 0.999 — a p=1 state makes the
-    // all-solutions chain non-absorbing (the paper's model assumes p < 1).
-    double p_first = std::min(0.999, Clamp01(s.success_prob));
-    single_stats.push_back(markov::GoalStats{p_first, cost});
-    // All-solutions chain (the ordering objective): a goal with expected
-    // s solutions re-succeeds on redo, so its per-visit success rate is
-    // s/(1+s) — this is what makes a 120-tuple generator costlier to put
-    // early than a 2-tuple one even when both "succeed" on first call.
-    double sols = std::max(0.0, s.expected_solutions);
-    double p_visit = std::min(0.999, sols / (1.0 + sols));
-    eval.goal_stats.push_back(markov::GoalStats{p_visit, cost});
-    ApplyNode(*node, &eval.env_after);
+    PRORE_RETURN_IF_ERROR(PlaceInto(*node, &step));
+    if (!step.legal) eval.legal = false;
+    single_stats.push_back(step.first);
+    eval.goal_stats.push_back(step.visit);
   }
+  eval.env_after = std::move(step.env_after);
+  // Only the single-solution chain needs the fundamental matrix; the
+  // all-solutions quantities come from the closed form over the per-visit
+  // rates.
   PRORE_ASSIGN_OR_RETURN(eval.chain,
-                         markov::AnalyzeClauseBody(single_stats));
-  // Overlay the all-solutions quantities computed from the per-visit rates.
+                         markov::AnalyzeSingleSolutionChain(single_stats));
   eval.chain.cost_all_solutions =
       markov::ClosedFormAllSolutionsCost(eval.goal_stats);
-  std::vector<double> visits = markov::ClosedFormAllVisits(eval.goal_stats);
-  eval.chain.visits_all = visits;
-  eval.chain.expected_solutions = visits.empty() ? 1.0 : visits.back();
+  eval.chain.visits_all = markov::ClosedFormAllVisits(eval.goal_stats);
+  eval.chain.expected_solutions = eval.chain.visits_all.back();
   eval.chain.cost_per_solution =
       eval.chain.expected_solutions > 0.0
           ? eval.chain.cost_all_solutions / eval.chain.expected_solutions

@@ -84,9 +84,23 @@ double ExpectedSingleCallCost(const std::vector<double>& success_prob,
 /// Result of evaluating one candidate ordering of body elements.
 struct BlockEval {
   bool legal = true;                 ///< every call satisfied its demands
-  markov::ChainAnalysis chain;       ///< chain over the elements, in order
+  /// Chain over the elements, in order: success_prob, cost_single and
+  /// visits_single from the solved single-solution chain; the
+  /// all-solutions fields from the closed form over goal_stats.
+  markov::ChainAnalysis chain;
   analysis::AbstractEnv env_after;   ///< abstract bindings after the block
   std::vector<markov::GoalStats> goal_stats;  ///< per element, in order
+};
+
+/// One body element placed next in a sequence: what it adds to the
+/// sequence's chains, with no chain solved.
+struct Placement {
+  bool legal = true;  ///< every call in the element satisfied its demands
+  /// Single-solution chain state: first-solution rate and cost.
+  markov::GoalStats first;
+  /// All-solutions chain state (BlockEval::goal_stats): per-visit rate.
+  markov::GoalStats visit;
+  analysis::AbstractEnv env_after;  ///< abstract bindings after it
 };
 
 /// Cost/probability database for a program: Warren-style statistics for
@@ -157,10 +171,20 @@ class CostModel {
 
   /// Evaluates a sequence of body elements in the given order starting
   /// from `start`: legality of each call, the absorbing-chain analysis of
-  /// the sequence, and the abstract environment after it.
+  /// the sequence, and the abstract environment after it. Places each
+  /// element in turn and solves the single-solution chain once; the
+  /// all-solutions cost is markov::ClosedFormAllSolutionsCost(goal_stats).
   prore::Result<BlockEval> EvaluateSequence(
       const std::vector<const analysis::BodyNode*>& order,
       const analysis::AbstractEnv& start);
+
+  /// Places `node` under `env`: its legality, its states in both chains
+  /// and the environment after it. A search scores a partial order by
+  /// collecting the `visit` stats of its placements:
+  /// ClosedFormAllSolutionsCost over them equals EvaluateSequence's
+  /// cost_all_solutions for that order, bit for bit.
+  prore::Result<Placement> Place(const analysis::BodyNode& node,
+                                 const analysis::AbstractEnv& env);
 
   /// Warren-style head-match probability: for each '+' call position whose
   /// head argument is nonvariable, multiply by 1/|domain of that position|
@@ -178,13 +202,15 @@ class CostModel {
     ApplyNode(node, env);
   }
 
-  /// Guards every subsequent EvaluateSequence with a step/wall-clock
-  /// budget: one step per evaluated body element. Once tripped, evaluation
-  /// fails fast with kResourceExhausted
+  /// Guards every subsequent Place and EvaluateSequence with a
+  /// step/wall-clock budget. The step unit is one placement: Place takes
+  /// one step, EvaluateSequence one per element (control constructs add
+  /// the steps of their inner sequences). The goal-order search therefore
+  /// spends one step per candidate placement and none to score a complete
+  /// order. Once tripped, evaluation fails fast with kResourceExhausted
   /// (resource_error(watchdog(cost_model))) — which the goal-order search
   /// and clause ordering propagate — so a pathologically expensive cost
-  /// query degrades instead of hanging. The goal-order search is covered
-  /// transitively: every candidate it scores goes through here.
+  /// query degrades instead of hanging.
   void ArmWatchdog(const prore::WatchdogBudget& budget,
                    const prore::ExecContext& exec = {}) {
     watchdog_.Arm(budget, "cost_model", exec);
@@ -210,6 +236,9 @@ class CostModel {
                             const analysis::Mode& mode, PredModeStats* s);
   /// Applies a node's effect on the abstract environment (bindings).
   void ApplyNode(const analysis::BodyNode& node, analysis::AbstractEnv* env);
+  /// Place, in place: scores `node` under `p->env_after` and advances
+  /// that environment past it.
+  prore::Status PlaceInto(const analysis::BodyNode& node, Placement* p);
   /// True if every call in the node is legal under env (recursing into
   /// control constructs with the appropriate sub-environments).
   bool NodeLegal(const analysis::BodyNode& node,

@@ -619,11 +619,9 @@ class Validator {
     }
     bool illegal = false;
     const char* what = nullptr;
-    const auto& builtin_pairs =
-        in_.oracle->builtin_modes().PairsFor(bare, callee.arity);
-    if (!builtin_pairs.empty()) {
-      illegal = !in_.oracle->builtin_modes().IsLegalCall(bare, callee.arity,
-                                                         call_mode);
+    const analysis::BuiltinModes& builtins = analysis::BuiltinModes::Standard();
+    if (!builtins.PairsFor(bare, callee.arity).empty()) {
+      illegal = !builtins.IsLegalCall(bare, callee.arity, call_mode);
       what = "built-in %s called in illegal mode %s";
     } else if (in_.modes != nullptr && in_.modes->legal_table.Has(callee)) {
       illegal = !in_.modes->legal_table.IsLegalCall(callee, call_mode);

@@ -94,7 +94,7 @@ double ClosedFormAllSolutionsCost(std::span<const GoalStats> goals) {
   return cost;
 }
 
-prore::Result<ChainAnalysis> AnalyzeClauseBody(
+prore::Result<ChainAnalysis> AnalyzeSingleSolutionChain(
     std::span<const GoalStats> goals) {
   PRORE_RETURN_IF_ERROR(ValidateGoals(goals));
   ChainAnalysis out;
@@ -122,6 +122,15 @@ prore::Result<ChainAnalysis> AnalyzeClauseBody(
   }
   // Success probability: absorb in S (reached from the last goal).
   out.success_prob = fundamental.At(0, n - 1) * goals[n - 1].success_prob;
+  return out;
+}
+
+prore::Result<ChainAnalysis> AnalyzeClauseBody(
+    std::span<const GoalStats> goals) {
+  PRORE_ASSIGN_OR_RETURN(ChainAnalysis out,
+                         AnalyzeSingleSolutionChain(goals));
+  size_t n = goals.size();
+  if (n == 0) return out;
 
   // ---- All-solutions chain: transient states are the goals plus S. ----
   bool certain_goal = false;

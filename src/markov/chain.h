@@ -42,8 +42,16 @@ struct ChainAnalysis {
 /// Builds and solves both chains for a clause body with the given goals,
 /// in order, via the fundamental matrix N = (I-Q)^{-1}.
 /// Probabilities outside [0,1] are InvalidArgument; an empty body yields
-/// success_prob 1 and zero costs.
+/// success_prob 1 and zero costs. The reference analysis of the paper's
+/// figures; the cost model solves only the single-solution half.
 prore::Result<ChainAnalysis> AnalyzeClauseBody(std::span<const GoalStats> goals);
+
+/// The single-solution chain alone (Fig. 4): fills success_prob,
+/// cost_single and visits_single exactly as AnalyzeClauseBody does and
+/// leaves the all-solutions fields zero (expected_solutions is 1 for an
+/// empty body).
+prore::Result<ChainAnalysis> AnalyzeSingleSolutionChain(
+    std::span<const GoalStats> goals);
 
 /// Closed-form visit counts for the all-solutions chain (the paper's "tidy
 /// form"): v_i = prod_{j<i} p_j / prod_{j<=i} (1-p_j). Returns +infinity

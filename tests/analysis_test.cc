@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+
 #include "analysis/body.h"
 #include "analysis/callgraph.h"
 #include "analysis/fixity.h"
@@ -366,7 +369,7 @@ TEST(ModeTest, ModeTableMergeAndLookup) {
 }
 
 TEST(ModeTest, BuiltinModesDemands) {
-  BuiltinModes bm;
+  const BuiltinModes& bm = BuiltinModes::Standard();
   EXPECT_TRUE(bm.IsLegalCall("is", 2, std::move(ModeFromString("(-,+)")).value()));
   EXPECT_FALSE(bm.IsLegalCall("is", 2, std::move(ModeFromString("(-,-)")).value()));
   EXPECT_FALSE(bm.IsLegalCall("<", 2, std::move(ModeFromString("(+,-)")).value()));
@@ -399,6 +402,61 @@ TEST(ModeTest, AbstractUnificationGroundsFreeSide) {
   env.Set(store.var_id(x), VarState::kGround);
   env.ApplyUnification(store, x, y);
   EXPECT_EQ(env.Get(store.var_id(y)), VarState::kGround);
+}
+
+TEST(ModeTest, AbstractEnvMatchesReferenceMap) {
+  // Get/Set/Join/== against a std::map model in which absent == free,
+  // over seeded random operations (setting a variable back to free
+  // included).
+  using Ref = std::map<uint32_t, VarState>;
+  auto ref_get = [](const Ref& r, uint32_t id) {
+    auto it = r.find(id);
+    return it == r.end() ? VarState::kFree : it->second;
+  };
+  auto ref_set = [](Ref* r, uint32_t id, VarState s) {
+    if (s == VarState::kFree) {
+      r->erase(id);
+    } else {
+      (*r)[id] = s;
+    }
+  };
+  constexpr uint32_t kVars = 12;
+  const VarState kStates[] = {VarState::kGround, VarState::kFree,
+                              VarState::kUnknown};
+  std::mt19937 rng(20261020);
+  for (int trial = 0; trial < 200; ++trial) {
+    AbstractEnv a, b;
+    Ref ra, rb;
+    for (int op = 0; op < 40; ++op) {
+      uint32_t id = rng() % kVars;
+      VarState s = kStates[rng() % 3];
+      if (rng() % 2 == 0) {
+        a.Set(id, s);
+        ref_set(&ra, id, s);
+      } else {
+        b.Set(id, s);
+        ref_set(&rb, id, s);
+      }
+      for (uint32_t v = 0; v < kVars; ++v) {
+        ASSERT_EQ(a.Get(v), ref_get(ra, v)) << "trial " << trial;
+        ASSERT_EQ(b.Get(v), ref_get(rb, v)) << "trial " << trial;
+      }
+      ASSERT_EQ(a == b, ra == rb) << "trial " << trial;
+    }
+    AbstractEnv joined = AbstractEnv::Join(a, b);
+    Ref rj;
+    for (uint32_t v = 0; v < kVars; ++v) {
+      VarState sa = ref_get(ra, v), sb = ref_get(rb, v);
+      ref_set(&rj, v, sa == sb ? sa : VarState::kUnknown);
+    }
+    AbstractEnv expected;
+    for (const auto& [v, s] : rj) expected.Set(v, s);
+    for (uint32_t v = 0; v < kVars; ++v) {
+      EXPECT_EQ(joined.Get(v), ref_get(rj, v)) << "trial " << trial;
+    }
+    EXPECT_TRUE(joined == expected) << "trial " << trial;
+    EXPECT_TRUE(AbstractEnv::Join(a, a) == a) << "trial " << trial;
+  }
 }
 
 // ---- Declarations ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "analysis/callgraph.h"
@@ -212,6 +213,49 @@ TEST_F(CostTest, EvaluateSequenceFlagsIllegalOrder) {
   ASSERT_TRUE(ok_order.ok() && bad_order.ok());
   EXPECT_TRUE(ok_order->legal);
   EXPECT_FALSE(bad_order->legal);  // `is` before its input is bound
+}
+
+TEST_F(CostTest, EvaluateSequenceSingleChainMatchesAnalyzeClauseBody) {
+  // EvaluateSequence reports the single-solution chain of its per-element
+  // stats; that half must equal the reference two-chain analysis bit for
+  // bit, on plain calls and on control constructs.
+  Load(R"(
+    a(1). a(2). a(3).
+    b(1). b(x). b(y).
+    c(2, z). c(3, w).
+    d(X) :- a(X), b(X).
+    main(X, Y) :- a(X), \+ b(Y), (c(X, Y) ; d(Y)), X > 1, d(X).
+  )");
+  const auto& clause = program_.ClausesOf(Id("main", 2))[0];
+  auto tree = analysis::ParseBody(store_, clause.body);
+  ASSERT_TRUE(tree.ok());
+  std::vector<const analysis::BodyNode*> body;
+  for (const auto& child : (*tree)->children) body.push_back(child.get());
+  for (const char* mode : {"(-,-)", "(+,-)", "(+,+)"}) {
+    SCOPED_TRACE(mode);
+    analysis::AbstractEnv start =
+        analysis::EnvFromHead(store_, clause.head, M(mode));
+    std::vector<const analysis::BodyNode*> order = body;
+    for (int rotation = 0; rotation < 5; ++rotation) {
+      std::rotate(order.begin(), order.begin() + 1, order.end());
+      auto eval = costs_->EvaluateSequence(order, start);
+      ASSERT_TRUE(eval.ok());
+      std::vector<markov::GoalStats> single;
+      analysis::AbstractEnv env = start;
+      for (size_t i = 0; i < order.size(); ++i) {
+        PredModeStats s = costs_->NodeStats(*order[i], env);
+        double p = std::min(1.0, std::max(0.0, s.success_prob));
+        single.push_back({std::min(0.999, p), eval->goal_stats[i].cost});
+        costs_->AdvanceEnv(*order[i], &env);
+      }
+      auto ref = markov::AnalyzeClauseBody(single);
+      ASSERT_TRUE(ref.ok());
+      EXPECT_EQ(eval->chain.success_prob, ref->success_prob);
+      EXPECT_EQ(eval->chain.cost_single, ref->cost_single);
+      EXPECT_EQ(eval->chain.visits_single, ref->visits_single);
+      EXPECT_TRUE(eval->env_after == env);
+    }
+  }
 }
 
 TEST_F(CostTest, ExpectedSolutionsMultiplyThroughgenerators) {

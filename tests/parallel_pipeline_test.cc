@@ -260,6 +260,87 @@ TEST(ParallelPipelineTest, WarmCacheReplaysEveryGroupByteForByte) {
   }
 }
 
+// A replay hands back everything the cold run produced, not only the
+// program: every reorderer report (predicted costs bit for bit), outcome
+// and diagnostic.
+TEST(ParallelPipelineTest, WarmCacheReplaysReportsAndDiagnostics) {
+  core::AnalysisCache cache;
+  core::PipelineResult cold;
+  std::vector<std::string> cold_preds;
+  for (int pass = 0; pass < 2; ++pass) {
+    TermStore store;
+    auto program = reader::ParseProgramText(
+        &store, std::string(kMultiCluster) + "lonely(X, Y) :- parent(X, _).\n");
+    ASSERT_TRUE(program.ok());
+    PipelineOptions options;
+    options.jobs = 1;
+    options.cache = &cache;
+    auto result = GuardedPipeline(&store, options).Run(*program);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::vector<std::string> preds;
+    for (const core::PredModeReport& r : result->reports) {
+      preds.push_back(reader::PredName(store, r.pred));
+    }
+    if (pass == 0) {
+      EXPECT_EQ(result->report.cache_hits, 0u);
+      ASSERT_FALSE(result->reports.empty());
+      ASSERT_FALSE(result->diagnostics.empty());
+      cold = std::move(result).value();
+      cold_preds = preds;
+      continue;
+    }
+    EXPECT_EQ(result->report.cache_misses, 0u);
+    EXPECT_EQ(preds, cold_preds);
+    ASSERT_EQ(result->reports.size(), cold.reports.size());
+    for (size_t i = 0; i < cold.reports.size(); ++i) {
+      const core::PredModeReport& a = cold.reports[i];
+      const core::PredModeReport& b = result->reports[i];
+      EXPECT_EQ(b.mode, a.mode) << preds[i];
+      EXPECT_EQ(b.version_name, a.version_name) << preds[i];
+      EXPECT_EQ(b.clauses_changed, a.clauses_changed) << preds[i];
+      EXPECT_EQ(b.goals_changed, a.goals_changed) << preds[i];
+      EXPECT_EQ(b.predicted_original_cost, a.predicted_original_cost)
+          << preds[i];
+      EXPECT_EQ(b.predicted_new_cost, a.predicted_new_cost) << preds[i];
+    }
+    EXPECT_EQ(result->diagnostics, cold.diagnostics);
+    EXPECT_EQ(result->report.ToJson(), cold.report.ToJson());
+  }
+}
+
+// A cache entry whose packed records are cut short is rejected on lookup
+// and recomputed, never replayed.
+TEST(ParallelPipelineTest, TruncatedCacheRecordsAreRecomputed) {
+  core::AnalysisCache cache;
+  std::string cold;
+  for (int pass = 0; pass < 2; ++pass) {
+    TermStore store;
+    auto program = reader::ParseProgramText(&store, kMultiCluster);
+    ASSERT_TRUE(program.ok());
+    auto graph = analysis::CallGraph::Build(store, *program);
+    ASSERT_TRUE(graph.ok());
+    const size_t groups = analysis::ComputeDependencyGroups(*graph).size();
+    PipelineOptions options;
+    options.jobs = 1;
+    options.cache = &cache;
+    auto result = GuardedPipeline(&store, options).Run(*program);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const std::string text = reader::WriteProgram(store, result->program);
+    if (pass == 0) {
+      cold = text;
+      for (uint64_t key : cache.KeysForTest()) {
+        ASSERT_TRUE(cache.CorruptForTest(key, [](core::GroupCacheEntry* e) {
+          e->records.resize(e->records.size() - 1);
+        }));
+      }
+      continue;
+    }
+    EXPECT_EQ(result->report.cache_hits, 0u);
+    EXPECT_EQ(result->report.cache_rejected, groups);
+    EXPECT_EQ(text, cold);
+  }
+}
+
 // A deterministic demotion recurs on every recompute, so the demoted
 // group and its callers are cached and replay to the same program and
 // report.

@@ -280,6 +280,59 @@ TEST_P(GuardedPipelineTest, CostWatchdogQuarantinesInsteadOfHanging) {
   ExpectSetEquivalent(&store, *program, result->program);
 }
 
+TEST_P(GuardedPipelineTest, CostWatchdogTripInGoalSearchQuarantines) {
+  // A six-generator body: the exhaustive goal-order search places an
+  // element 1,956 times per calling mode, one cost-watchdog step each;
+  // everything else the run prices costs far less than the budget.
+  std::string src;
+  std::string body;
+  for (int g = 0; g < 6; ++g) {
+    for (int f = 0; f <= g; ++f) {
+      src += "g" + std::to_string(g) + "(" + std::to_string(f) + ").\n";
+    }
+    body += std::string(g ? ", " : "") + "g" + std::to_string(g) + "(X" +
+            std::to_string(g) + ")";
+  }
+  src += "wide(X0) :- " + body + ".\n";
+  TermStore store;
+  auto program = reader::ParseProgramText(&store, src);
+  ASSERT_TRUE(program.ok());
+  PipelineOptions options;
+  options.jobs = GetParam();
+  options.reorder.cost_watchdog.max_steps = 400;
+
+  // Without the search the budget suffices: nothing degrades.
+  PipelineOptions no_search = options;
+  no_search.reorder.goal_search.exhaustive_threshold = 0;
+  no_search.reorder.goal_search.use_astar = false;
+  GuardedPipeline quiet(&store, no_search);
+  auto clean = quiet.Run(*program);
+  ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+  EXPECT_FALSE(clean->report.degraded());
+
+  // With it the budget trips mid-search; only wide/1 is quarantined.
+  GuardedPipeline pipeline(&store, options);
+  auto result = pipeline.Run(*program);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->report.degraded());
+  EXPECT_EQ(result->report.quarantined(), 1u);
+  const PredOutcome* wide = FindOutcome(result->report, "wide/1");
+  ASSERT_NE(wide, nullptr);
+  EXPECT_EQ(wide->level, LadderLevel::kClauseOrderOnly);
+  bool saw_watchdog_trigger = false;
+  for (const std::string& t : wide->triggers) {
+    if (t.find("ResourceExhausted: watchdog: cost_model") !=
+        std::string::npos) {
+      saw_watchdog_trigger = true;
+    }
+  }
+  EXPECT_TRUE(saw_watchdog_trigger) << result->report.ToJson();
+  core::Evaluator eval(&store, *program, result->program);
+  auto c = eval.CompareQuery("wide(X)");
+  ASSERT_TRUE(c.ok()) << c.status().ToString();
+  EXPECT_TRUE(c->set_equivalent);
+}
+
 TEST_P(GuardedPipelineTest, ValidatorErrorsQuarantineTheOffendingPredicate) {
   TermStore store;
   auto program = reader::ParseProgramText(&store, kFamily);
